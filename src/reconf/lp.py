@@ -117,8 +117,8 @@ def _build_arrays(lp: LinearProgram, bounds):
         raise LpFormatError("right-hand sides must be finite")
     senses = np.array([_SENSE_CODE[s] for s in lp.senses], dtype=int)
     if m:
-        # equilibrate: rows mixing unit and huge coefficients (big-M ties)
-        # would otherwise burn absolute precision in the dense tableau
+        # equilibrate: rows mixing unit and large coefficients (status-gated
+        # ratings) would otherwise burn absolute precision in the dense tableau
         row_max = np.max(np.abs(a), axis=1, initial=0.0)
         scale = np.where(row_max > 0.0, 1.0 / np.where(row_max > 0.0, row_max, 1.0), 1.0)
         a *= scale[:, None]
@@ -680,13 +680,12 @@ def split_blocks(lp: LinearProgram) -> list[tuple[list[int], list[int]]]:
 
 
 class BlockSolver:
-    """Solves a program block by block, memoizing repeated bound patterns.
+    """Solves a program block by block.
 
     Built once per program; solve() accepts per-variable bounds overrides.
-    Results are identical to solve_lp on the whole program, but independent
-    blocks whose bounds repeat across calls are solved once, and
+    Results are identical to solve_lp on the whole program, and
     solve_with_basis() reuses a previous solution's bases so that revised
-    bounds cost only a short dual-simplex repair per changed block.
+    bounds cost only a short dual-simplex repair per block.
     """
 
     def __init__(self, lp: LinearProgram):
@@ -707,7 +706,6 @@ class BlockSolver:
             self.sub_lps.append(sub)
             self.local_index.append(mapping)
         self.engines = [PreparedLp(sub) for sub in self.sub_lps]
-        self._memo: dict = {}
 
     def solve(self, bounds=None) -> LpOutcome:
         return self.solve_with_basis(bounds)[0]
@@ -716,8 +714,8 @@ class BlockSolver:
                          ) -> tuple[LpOutcome, tuple | None]:
         """Solve and also return per-block basis snapshots for reuse.
 
-        warm is a snapshot tuple from an earlier call; blocks whose
-        bounds repeat are served from the memo without solving at all.
+        warm is a snapshot tuple from an earlier call; each block starts
+        from its own snapshot in it.
         """
         bounds = bounds or {}
         values = np.zeros(self.lp.num_vars)
@@ -726,13 +724,8 @@ class BlockSolver:
         for bi, (cols, _rows) in enumerate(self.blocks):
             mapping = self.local_index[bi]
             local = {mapping[g]: bnd for g, bnd in bounds.items() if g in mapping}
-            key = (bi, tuple(sorted(local.items())))
-            hit = self._memo.get(key)
-            if hit is None:
-                hit = self.engines[bi].solve(
-                    local, warm[bi] if warm is not None else None)
-                self._memo[key] = hit
-            outcome, snap = hit
+            outcome, snap = self.engines[bi].solve(
+                local, warm[bi] if warm is not None else None)
             if outcome.status != OPTIMAL:
                 return LpOutcome(outcome.status), None
             total += outcome.objective

@@ -22,7 +22,6 @@ from .dcflow import FlowSolution, check_limits, solve_flows
 from .lp import OPTIMAL, BlockSolver, LinearProgram
 from .model import (
     DisjointSet,
-    Line,
     Network,
     StructureError,
     is_spanning_forest,
@@ -51,7 +50,8 @@ class NodeLimitError(RuntimeError):
 
 @dataclass(frozen=True)
 class ModelOptions:
-    """Formulation parameters: angle bounds (rad) and the zero-load fill-in."""
+    """Model parameters: angle bounds (rad), which exact physics enforces,
+    and the zero-load fill-in."""
 
     angle_lo: float = -0.6
     angle_hi: float = 0.6
@@ -171,27 +171,11 @@ def apply_epsilon_loads(loads, epsilon: float = 1e-5) -> np.ndarray:
     return out
 
 
-def big_m(line: Line, angle_lo: float, angle_hi: float) -> float:
-    """Tightest constant disarming the flow-angle tie of an open line.
-
-    With angles confined to [angle_lo, angle_hi], |angle difference|/x
-    never exceeds (angle_hi - angle_lo)/x; adding the line's rating covers
-    the flow term, so M = span/x + rating makes the tie vacuous at J=0
-    while J=1 collapses it to an equality.
-    """
-    if not angle_lo < angle_hi:
-        raise ValueError("angle_lo must be strictly below angle_hi")
-    if line.reactance <= 0:
-        raise ValueError(f"line {line.id}: reactance must be positive")
-    return (angle_hi - angle_lo) / line.reactance + line.rating
-
-
 @dataclass(frozen=True)
 class _HourIndex:
     """Column positions of one hour's variables inside a LinearProgram."""
 
     sub_col: dict[int, int]
-    theta_col: dict[int, int]
     flow_col: dict[str, int]
     j_col: dict[str, int]
 
@@ -209,16 +193,17 @@ class HourModel:
     opts: ModelOptions
 
 
-def _add_hour(lp: LinearProgram, net: Network, loads, prices,
-              opts: ModelOptions) -> _HourIndex:
-    """Append one hour's variables and rows to lp; return the column map."""
+def _add_hour(lp: LinearProgram, net: Network, loads, prices) -> _HourIndex:
+    """Append one hour's variables and rows to lp; return the column map.
+
+    The relaxation carries no angles. On a spanning forest the loads fix
+    every flow, so angles matter only through their bounds, and those are
+    enforced exactly by evaluate_topology at every candidate the search
+    accepts; the LP only has to bound the cost from below.
+    """
     price_of = dict(zip(net.substations, prices))
 
     sub_col = {b: lp.add_variable(cost=price_of[b]) for b in net.substations}
-    theta_col = {}
-    for bus in net.buses:
-        lo, hi = (0.0, 0.0) if bus.is_substation else (opts.angle_lo, opts.angle_hi)
-        theta_col[bus.id] = lp.add_variable(0.0, lo, hi)
     flow_col = {}
     for line in net.lines:
         if line.flexible:
@@ -238,29 +223,17 @@ def _add_hour(lp: LinearProgram, net: Network, loads, prices,
             coeffs.append((sub_col[bus.id], 1.0))
         lp.add_row("=", float(loads[bus.id]), coeffs)
 
-    # always-closed lines obey the flow-angle law outright
-    for line in net.nonflexible_lines:
-        inv_x = 1.0 / line.reactance
-        lp.add_row("=", 0.0, [(flow_col[line.id], 1.0),
-                              (theta_col[line.from_bus], -inv_x),
-                              (theta_col[line.to_bus], inv_x)])
-
-    # switchable lines: rating gated by status, flow-angle law armed by status
+    # switchable lines: rating gated by status
     for line in net.flexible_lines:
         p, j = flow_col[line.id], j_col[line.id]
-        tf, tt = theta_col[line.from_bus], theta_col[line.to_bus]
-        inv_x = 1.0 / line.reactance
-        m = big_m(line, opts.angle_lo, opts.angle_hi)
         lp.add_row("<=", 0.0, [(p, 1.0), (j, -line.rating)])
         lp.add_row("<=", 0.0, [(p, -1.0), (j, -line.rating)])
-        lp.add_row("<=", m, [(p, 1.0), (tf, -inv_x), (tt, inv_x), (j, m)])
-        lp.add_row("<=", m, [(p, -1.0), (tf, inv_x), (tt, -inv_x), (j, m)])
 
     if j_col:
         k = required_closed_flexible_count(net)
         lp.add_row("=", float(k), [(c, 1.0) for c in j_col.values()])
 
-    return _HourIndex(sub_col, theta_col, flow_col, j_col)
+    return _HourIndex(sub_col, flow_col, j_col)
 
 
 def build_hour_model(net: Network, loads_t, prices_t,
@@ -276,7 +249,7 @@ def build_hour_model(net: Network, loads_t, prices_t,
             f"expected {len(net.substations)} prices, got {prices_t.shape}")
     k_star = required_closed_flexible_count(net)
     lp = LinearProgram()
-    index = _add_hour(lp, net, loads_t, prices_t, opts)
+    index = _add_hour(lp, net, loads_t, prices_t)
     return HourModel(lp, index, k_star, net, loads_t, prices_t, opts)
 
 
@@ -302,7 +275,7 @@ def build_day_model(problem: DayProblem,
     indexes = []
     for t in range(problem.horizon):
         loads_t = apply_epsilon_loads(problem.loads[t], opts.epsilon)
-        indexes.append(_add_hour(lp, problem.net, loads_t, problem.prices[t], opts))
+        indexes.append(_add_hour(lp, problem.net, loads_t, problem.prices[t]))
     return DayModel(lp, tuple(indexes), k_star, problem.net,
                     problem.loads, problem.prices, opts)
 
@@ -805,8 +778,9 @@ def _solve_milp(milp: _Milp, opts: SolverOptions,
                 break
         if integral:
             # the rounded candidate may still lose real flow to a tiny
-            # status fraction on a high-rating line, so it only closes
-            # the subtree when it attains the node bound within gap
+            # status fraction on a high-rating line, or break an angle
+            # bound the relaxation does not carry, so it only closes the
+            # subtree when it attains the node bound within gap
             offer([frozenset(
                 lid for lid, col in g.j_col.items()
                 if (fixed[col] == 1 if col in fixed else values[col] > 0.5))
@@ -890,8 +864,8 @@ def solve_day(problem: DayProblem, model_opts: ModelOptions | None = None,
         lp = dm.lp
         hours = []
         for t, ix in enumerate(dm.indexes):
-            cols = sorted(set(ix.sub_col.values()) | set(ix.theta_col.values())
-                          | set(ix.flow_col.values()) | set(ix.j_col.values()))
+            cols = sorted(set(ix.sub_col.values()) | set(ix.flow_col.values())
+                          | set(ix.j_col.values()))
             colset = set(cols)
             remap = {g: l for l, g in enumerate(cols)}
             sub = LinearProgram(

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from reconf.casegen import FixtureSpec, day_problem
 from reconf.model import Bus, Line, Network, StructureError, is_spanning_forest
 from reconf.optimize import (
     DayProblem,
@@ -11,7 +12,6 @@ from reconf.optimize import (
     NodeLimitError,
     SolverOptions,
     apply_epsilon_loads,
-    big_m,
     build_day_model,
     build_hour_model,
     enumerate_hour,
@@ -86,51 +86,38 @@ class TestEpsilonLoads:
         assert loads[0] == 0.0
 
 
-class TestBigM:
-    def test_formula(self):
-        line = _line("l", 0, 1, x=0.05, rating=10.0)
-        assert big_m(line, -0.6, 0.6) == pytest.approx(34.0)
-
-    def test_formula_other_values(self):
-        line = _line("l", 0, 1, x=0.1, rating=5.0)
-        assert big_m(line, -0.6, 0.6) == pytest.approx(17.0)
-
-    def test_degenerate_bounds_rejected(self):
-        line = _line("l", 0, 1)
-        with pytest.raises(ValueError, match="angle_lo"):
-            big_m(line, 0.3, 0.3)
-
-    def test_nonpositive_reactance_rejected(self):
-        line = Line("l", 0, 1, 0.0, 10.0, True)
-        with pytest.raises(ValueError, match="reactance"):
-            big_m(line, -0.6, 0.6)
-
-
 class TestBuildHourModel:
     def test_tiny_model_shape(self):
         net = two_sub_net()
         model = build_hour_model(net, two_sub_loads(), [10.0, 20.0])
-        # 2 substation injections + 3 angles + 2 line flows + 2 statuses
-        assert model.lp.num_vars == 9
+        # 2 substation injections + 2 line flows + 2 statuses
+        assert model.lp.num_vars == 6
         assert model.k_star == 1
-        # balance x3, rating pairs x2, flow-law pairs x2, one count row
-        assert model.lp.num_rows == 12
+        # balance x3, rating pairs x2, one count row
+        assert model.lp.num_rows == 8
 
-    def test_substation_angles_pinned(self):
+    def test_columns_are_injections_flows_and_statuses(self):
         net = two_sub_net()
         model = build_hour_model(net, two_sub_loads(), [10.0, 20.0])
-        for bus_id in net.substations:
-            col = model.index.theta_col[bus_id]
-            assert model.lp.lower[col] == 0.0
-            assert model.lp.upper[col] == 0.0
+        ix = model.index
+        cols = (list(ix.sub_col.values()) + list(ix.flow_col.values())
+                + list(ix.j_col.values()))
+        assert sorted(cols) == list(range(model.lp.num_vars))
+        for col in ix.j_col.values():
+            assert (model.lp.lower[col], model.lp.upper[col]) == (0.0, 1.0)
+        # a switchable line's flow is bounded only by its gated rating rows
+        for col in ix.flow_col.values():
+            assert model.lp.lower[col] == -np.inf
+            assert model.lp.upper[col] == np.inf
 
-    def test_load_bus_angles_bounded(self):
+    def test_angle_bounds_leave_relaxation_unchanged(self):
+        # angle bounds reach the search only through evaluate_topology
         net = two_sub_net()
-        model = build_hour_model(net, two_sub_loads(), [10.0, 20.0],
+        wide = build_hour_model(net, two_sub_loads(), [10.0, 20.0])
+        tight = build_hour_model(net, two_sub_loads(), [10.0, 20.0],
                                  ModelOptions(angle_lo=-0.4, angle_hi=0.5))
-        col = model.index.theta_col[2]
-        assert model.lp.lower[col] == -0.4
-        assert model.lp.upper[col] == 0.5
+        assert tight.lp == wide.lp
+        assert (tight.opts.angle_lo, tight.opts.angle_hi) == (-0.4, 0.5)
 
     def test_static_network_has_no_status_columns(self):
         net = _net([_bus(0, True), _bus(1), _bus(2)],
@@ -139,8 +126,11 @@ class TestBuildHourModel:
         model = build_hour_model(net, [1e-5, 1.0, 1.0], [10.0])
         assert model.index.j_col == {}
         assert model.k_star == 0
-        # balance x3 plus one flow-law row per line, nothing else
-        assert model.lp.num_rows == 5
+        # one injection and two rating-bounded flows, balance rows only
+        assert model.lp.num_vars == 3
+        assert model.lp.num_rows == 3
+        for col in model.index.flow_col.values():
+            assert (model.lp.lower[col], model.lp.upper[col]) == (-10.0, 10.0)
 
     def test_wrong_load_count_rejected(self):
         net = two_sub_net()
@@ -253,6 +243,59 @@ class TestBranchAndBound:
         sol = solve_hour(model)
         assert sol.statuses == {"s1-b1": 1, "s1-b2": 1, "s2-b1": 0, "s2-b2": 0}
         assert sol.cost == pytest.approx(10 * (4 + 1e-5) + 20 * 1e-5)
+
+
+def long_cheap_feeder_net():
+    """A cheap substation whose only route is a long high-reactance chain,
+    against a pricier one with short low-reactance ties to every bus."""
+    buses = [_bus(0, True), _bus(1, True), _bus(2), _bus(3), _bus(4)]
+    lines = [_line("c02", 0, 2, x=0.08), _line("c23", 2, 3, x=0.08),
+             _line("c34", 3, 4, x=0.08), _line("e12", 1, 2, x=0.01),
+             _line("e13", 1, 3, x=0.01), _line("e14", 1, 4, x=0.01)]
+    return _net(buses, lines)
+
+
+class TestAngleBoundsEnforcedByPhysics:
+    """The relaxation carries no angles; exact physics must reject every
+    candidate that breaks an angle bound, so these optima bind on angles."""
+
+    def test_cheapest_radial_topology_breaks_the_angle_bound(self):
+        net = long_cheap_feeder_net()
+        loads = np.array([1e-5, 1e-5, 2.0, 2.0, 2.0])
+        prices = [10.0, 20.0]
+        unbounded = enumerate_hour(net, loads, prices, ModelOptions(-10.0, 10.0))
+        # the chain from the cheap substation drops 0.96 rad at its end
+        assert unbounded.statuses == {"c02": 1, "c23": 1, "c34": 1,
+                                      "e12": 0, "e13": 0, "e14": 0}
+        assert evaluate_topology(net, unbounded.closed_flexible(), loads,
+                                 prices) is None
+        sol = solve_hour(build_hour_model(net, loads, prices))
+        oracle = enumerate_hour(net, loads, prices)
+        assert sol.statuses == oracle.statuses
+        assert sol.cost == pytest.approx(oracle.cost, rel=1e-9)
+        assert sol.cost > unbounded.cost + 1.0
+        assert np.all(np.abs(sol.angles) <= 0.6 + 1e-9)
+
+    @pytest.mark.parametrize("bound, daily_cost", [
+        (0.29, 899.504618), (0.25, 901.102101), (0.22, 903.695418)])
+    def test_case3_daily_cost_under_tight_angles(self, bound, daily_cost):
+        problem = day_problem(FixtureSpec(case_id=3))
+        opts = ModelOptions(angle_lo=-bound, angle_hi=bound)
+        day = solve_day(problem, opts)
+        assert day.total_cost == pytest.approx(daily_cost, rel=1e-6)
+        if bound == 0.22:
+            for t, hour in enumerate(day.hours):
+                oracle = enumerate_hour(
+                    problem.net, apply_epsilon_loads(problem.loads[t]),
+                    problem.prices[t], opts)
+                assert hour.cost == pytest.approx(oracle.cost, rel=1e-6)
+
+    def test_case3_infeasible_at_tightest_angles(self):
+        problem = day_problem(FixtureSpec(case_id=3))
+        with pytest.raises(InfeasibleHourError) as info:
+            solve_day(problem, ModelOptions(angle_lo=-0.2, angle_hi=0.2))
+        assert info.value.hour == 14
+        assert sorted(info.value.partial) == list(range(14))
 
 
 class TestEvaluateTopology:
