@@ -28,6 +28,7 @@ from .casegen import FixtureSpec, day_problem, gen_three_feeder
 from .model import (
     Network,
     NetworkFormatError,
+    StructureError,
     parse_network_file,
     serialize_network,
     is_spanning_forest,
@@ -226,12 +227,6 @@ def _solve_config(args) -> RunConfig:
 
 def cmd_solve(args) -> int:
     net = _read_network(args.network)
-    report = validate(net)
-    if not report.is_valid:
-        for finding in report.errors:
-            print(f"error {finding.code}: {finding.message}", file=sys.stderr)
-        return EXIT_INVALID
-
     loads = _read_profile_csv(args.loads, "loads", _bus_columns(net))
     prices = _read_profile_csv(args.prices, "prices", _substation_columns(net))
     horizon = args.horizon if args.horizon is not None else len(loads)
@@ -249,6 +244,11 @@ def cmd_solve(args) -> int:
     started = time.perf_counter()
     try:
         day = solve_day(problem, model_opts, solver_opts, jobs=config.jobs)
+    except StructureError as exc:
+        # solve_day validates the network once and raises with the report
+        for finding in exc.report.errors:
+            print(f"error {finding.code}: {finding.message}", file=sys.stderr)
+        return EXIT_INVALID
     except InfeasibleHourError as exc:
         hour = "?" if exc.hour is None else exc.hour + 1
         print(f"infeasible hour {hour}: {exc}", file=sys.stderr)

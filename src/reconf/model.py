@@ -20,7 +20,14 @@ class NetworkFormatError(ValueError):
 
 
 class StructureError(ValueError):
-    """Raised when line counts make a radial topology impossible."""
+    """Raised when line counts make a radial topology impossible.
+
+    report is the ValidationReport whose errors it summarizes, if any.
+    """
+
+    def __init__(self, message: str, report: ValidationReport | None = None):
+        super().__init__(message)
+        self.report = report
 
 
 class DisjointSet:

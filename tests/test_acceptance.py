@@ -12,6 +12,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
+from forest_oracle import RadialTopologies, kirchhoff_count
 from oracle_lp import enumerate_optimum, random_program
 from reconf.casegen import FixtureSpec, day_problem, scale_loads
 from reconf.cli import main
@@ -19,6 +20,7 @@ from reconf.dcflow import solve_flows, solve_flows_dense
 from reconf.lp import OPTIMAL, UNBOUNDED, LinearProgram, solve_lp
 from reconf.model import is_spanning_forest, required_closed_flexible_count
 from reconf.optimize import (
+    DayProblem,
     DaySolution,
     ModelOptions,
     apply_epsilon_loads,
@@ -32,6 +34,7 @@ CASES = (1, 2, 3, 4)
 
 _PROBLEMS = {}
 _SOLVED: dict[int, tuple[DaySolution, float]] = {}
+_TOPOLOGIES: dict[int, RadialTopologies] = {}
 
 
 def _problem(case):
@@ -49,16 +52,23 @@ def _solved(case):
     return _SOLVED[case]
 
 
+def _topologies(case):
+    """Every radial topology of a case, listed by the test-only oracle."""
+    if case not in _TOPOLOGIES:
+        _TOPOLOGIES[case] = RadialTopologies(_problem(case).net)
+    return _TOPOLOGIES[case]
+
+
 def _passed(name, detail):
     print(f"PASS {name}: {detail}")
 
 
 def test_search_matches_enumeration_on_small_cases():
-    """Branch-and-bound daily cost equals brute-force enumeration.
+    """The solver's daily cost equals brute-force enumeration.
 
-    Cases 1-3 keep the flexible set small enough to enumerate every
-    candidate topology per hour, so the enumeration total is an
-    independent optimum the search must reproduce within 1e-6 relative.
+    Cases 1-3 keep the flexible set small enough to try every closed set
+    of the required size per hour, so the enumeration total is an
+    independent optimum the solver must reproduce within 1e-6 relative.
     """
     start = time.perf_counter()
     worst = 0.0
@@ -79,6 +89,54 @@ def test_search_matches_enumeration_on_small_cases():
     _passed("oracle equivalence",
             f"cases 1-3 x 24 h, max rel diff {worst:.2e} <= 1e-6, "
             f"{elapsed:.1f} s < 30 s")
+
+
+def test_radial_topology_counts_match_kirchhoff():
+    """The oracle's brute-force listing finds Kirchhoff's number of forests.
+
+    The matrix-tree determinant of the contracted graph counts 11, 46,
+    214 and 16,017 radial topologies for cases 1-4; listing every closed
+    set of the required size must find exactly that many radial ones.
+    """
+    counts = {1: 11, 2: 46, 3: 214, 4: 16_017}
+    for case, count in counts.items():
+        assert kirchhoff_count(_problem(case).net) == count
+        assert len(_topologies(case)) == count
+    _passed("forest counts", "cases 1-4: 11 / 46 / 214 / 16,017 listed = "
+            "Kirchhoff's determinant")
+
+
+def test_case4_matches_forest_oracle():
+    """Every case-4 hour is the optimum of an oracle sharing no solver code.
+
+    tests/forest_oracle.py prices all 16,017 radial topologies by the
+    substation feeding each bus and confirms the cheapest with batched
+    dense susceptance solves. All 24 hours of the solved day must match
+    it to 1e-6 relative, and so must hours 8, 15 and 20 at +-0.2 rad,
+    where angle bounds bind.
+    """
+    problem = _problem(4)
+    oracle = _topologies(4)
+    day, _ = _solved(4)
+    worst = 0.0
+    for t, hour in enumerate(day.hours):
+        best = oracle.optimum(problem.loads[t], problem.prices[t], 0.6)
+        rel = abs(hour.cost - best[0]) / best[0]
+        worst = max(worst, rel)
+        assert rel <= 1e-6
+    hours = [7, 14, 19]
+    tight = ModelOptions(angle_lo=-0.2, angle_hi=0.2)
+    solved = solve_day(DayProblem(problem.net, problem.loads[hours],
+                                  problem.prices[hours]), tight)
+    for t, hour, want in zip(hours, solved.hours,
+                             (26.258849, 49.128387, 91.818209)):
+        best = oracle.optimum(problem.loads[t], problem.prices[t], 0.2)
+        assert hour.cost == pytest.approx(best[0], rel=1e-6)
+        assert hour.cost == pytest.approx(want, abs=5e-7)
+    _passed("case-4 oracle",
+            f"24 hours within {worst:.1e} <= 1e-6 of the forest oracle; "
+            f"hours 8, 15, 20 at +-0.2 rad match it and 26.258849 / "
+            f"49.128387 / 91.818209")
 
 
 def test_wider_switch_sets_never_cost_more():

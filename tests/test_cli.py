@@ -3,6 +3,7 @@ from decimal import Decimal
 
 import pytest
 
+from reconf import cli, optimize
 from reconf.cli import main
 from reconf.optimize import apply_epsilon_loads, enumerate_hour
 from reconf.model import parse_network
@@ -204,6 +205,36 @@ class TestSolve:
                      "--prices", prices, "--out", str(tmp_path / "run")])
         assert code == 3
         assert "hour 1" in capsys.readouterr().err
+
+    def test_invalid_network_exits_1(self, tmp_path, capsys):
+        doc = json.dumps({
+            "base_mva": 100.0,
+            "buses": [
+                {"id": 1, "name": "s1", "substation": True},
+                {"id": 2, "name": "island", "substation": False},
+            ],
+            "lines": [],
+        })
+        network = _write(tmp_path / "net.json", doc)
+        loads = _write(tmp_path / "loads.csv", "hour,1,2\n1,0.000000,3.000000\n")
+        prices = _write(tmp_path / "prices.csv", "hour,1\n1,25.000000\n")
+        code = main(["solve", "--network", network, "--loads", loads,
+                     "--prices", prices, "--out", str(tmp_path / "run")])
+        assert code == 1
+        assert "error network.unreachable_bus" in capsys.readouterr().err
+
+    def test_validates_once_per_solve(self, tiny, monkeypatch):
+        calls = []
+
+        def counted(real):
+            return lambda *args: calls.append(args) or real(*args)
+
+        monkeypatch.setattr(cli, "validate", counted(cli.validate))
+        monkeypatch.setattr(optimize, "validate", counted(optimize.validate))
+        assert main(["solve", "--network", tiny["network"],
+                     "--loads", tiny["loads"], "--prices", tiny["prices"],
+                     "--out", str(tiny["dir"] / "run")]) == 0
+        assert len(calls) == 1
 
     def test_loads_header_mismatch(self, tiny, tmp_path):
         bad = _write(tmp_path / "bad_loads.csv",

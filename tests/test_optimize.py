@@ -1,3 +1,5 @@
+from itertools import combinations
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,11 +8,15 @@ from hypothesis import strategies as st
 from reconf.casegen import FixtureSpec, day_problem
 from reconf.model import Bus, Line, Network, StructureError, is_spanning_forest
 from reconf.optimize import (
+    _ENUMERATION_CAP,
     DayProblem,
     InfeasibleHourError,
     ModelOptions,
     NodeLimitError,
     SolverOptions,
+    _milp_from_hour,
+    _radial_forests,
+    _solve_milp,
     apply_epsilon_loads,
     build_day_model,
     build_hour_model,
@@ -199,12 +205,19 @@ class TestSolveHour:
         assert seeded.cost == pytest.approx(solve_hour(model).cost, rel=1e-9)
 
     def test_stats_reported(self):
+        net = two_sub_net()
+        model = build_hour_model(net, two_sub_loads(), [10.0, 20.0])
+        hours, stats = _solve_milp(_milp_from_hour(model), SolverOptions())
+        assert stats.nodes >= 0
+        assert stats.relaxations >= 1
+        assert stats.incumbent_updates >= 1
+        assert stats.best_bound == pytest.approx(hours[0].cost, rel=1e-6)
+
+    def test_enumerated_hour_stats(self):
         sol = solve_two_sub([10.0, 20.0])
-        assert sol.stats is not None
-        assert sol.stats.nodes >= 0
-        assert sol.stats.relaxations >= 1
-        assert sol.stats.incumbent_updates >= 1
-        assert sol.stats.best_bound == pytest.approx(sol.cost, rel=1e-6)
+        assert (sol.stats.nodes, sol.stats.relaxations) == (0, 0)
+        assert sol.stats.incumbent_updates == 1
+        assert sol.stats.best_bound == sol.cost
 
 
 def double_bus_net():
@@ -232,7 +245,7 @@ class TestBranchAndBound:
         loads = np.array([1e-5, 1e-5, 8.0, 8.0])
         model = build_hour_model(net, loads, [10.0, 20.0])
         with pytest.raises(NodeLimitError):
-            solve_hour(model, SolverOptions(max_nodes=1))
+            _solve_milp(_milp_from_hour(model), SolverOptions(max_nodes=1))
 
     def test_substation_join_pruned(self):
         # the only size-2 closed sets avoiding a substation bridge are
@@ -296,6 +309,141 @@ class TestAngleBoundsEnforcedByPhysics:
             solve_day(problem, ModelOptions(angle_lo=-0.2, angle_hi=0.2))
         assert info.value.hour == 14
         assert sorted(info.value.partial) == list(range(14))
+
+
+def branch_and_bound(model, opts=None):
+    """The hour's optimum from the branch and bound, whatever the count."""
+    hours, _stats = _solve_milp(_milp_from_hour(model), opts or SolverOptions())
+    return hours[0]
+
+
+class TestBranchAndBoundAgreesWithEnumeration:
+    """Every shipped case now solves by enumeration, so the branch and
+    bound is checked against it directly, hour by hour."""
+
+    def test_case3_day_under_tight_angles(self):
+        problem = day_problem(FixtureSpec(case_id=3))
+        opts = ModelOptions(angle_lo=-0.22, angle_hi=0.22)
+        forests = _radial_forests(problem.net)
+        for t in range(problem.horizon):
+            model = build_hour_model(problem.net,
+                                     apply_epsilon_loads(problem.loads[t]),
+                                     problem.prices[t], opts)
+            ranked = solve_hour(model, forests=forests)
+            assert branch_and_bound(model).cost == pytest.approx(
+                ranked.cost, rel=1e-9)
+
+    @pytest.mark.parametrize("hour", [8, 15, 20])
+    def test_case4_hours(self, hour):
+        problem = day_problem(FixtureSpec(case_id=4))
+        model = build_hour_model(problem.net,
+                                 apply_epsilon_loads(problem.loads[hour - 1]),
+                                 problem.prices[hour - 1])
+        assert branch_and_bound(model).cost == pytest.approx(
+            solve_hour(model).cost, rel=1e-9)
+
+
+def radial_closed_sets(net):
+    """Brute force: every closed flexible set that leaves a spanning forest."""
+    always = {l.id for l in net.nonflexible_lines}
+    flex = sorted(l.id for l in net.flexible_lines)
+    k = len(net.buses) - len(net.substations) - len(always)
+    return [frozenset(combo) for combo in combinations(flex, k)
+            if is_spanning_forest(net, always | set(combo))]
+
+
+def listed_closed_sets(net, forests):
+    """Each listed forest's closed flexible lines, read off its parent lines."""
+    out = []
+    for f in range(forests.count):
+        lines = [net.lines[k] for k in forests.parent_line[:, f] if k >= 0]
+        assert sum(1 for k in forests.parent_line[:, f] if k < 0) == len(net.substations)
+        assert is_spanning_forest(net, {l.id for l in lines})
+        out.append(frozenset(l.id for l in lines if l.flexible))
+    return out
+
+
+class TestForestSet:
+    """Counting and listing on graphs that contraction must get right."""
+
+    def check(self, net, count):
+        forests = _radial_forests(net)
+        assert forests.count == count
+        listed = listed_closed_sets(net, forests)
+        assert sorted(map(sorted, listed)) == sorted(map(sorted, radial_closed_sets(net)))
+        flex = {l.id for l in net.flexible_lines}
+        opened = [sorted(flex - closed) for closed in listed]
+        assert opened == sorted(opened)  # the tie rule's order
+        loads = apply_epsilon_loads([0.0] * len(net.buses))
+        loads[[b.id for b in net.buses if not b.is_substation]] = 1.0
+        prices = [10.0 + 5.0 * s for s in range(len(net.substations))]
+        sol = solve_hour(build_hour_model(net, loads, prices), forests=forests)
+        assert sol.cost == pytest.approx(
+            enumerate_hour(net, loads, prices).cost, rel=1e-12)
+        return forests
+
+    def test_parallel_lines(self):
+        net = _net([_bus(0, True), _bus(1), _bus(2)],
+                   [_line("a", 0, 1), _line("b", 0, 1), _line("c", 1, 2),
+                    _line("d", 0, 2)])
+        # Laplacian cofactor [[3, -1], [-1, 2]]
+        self.check(net, 5)
+
+    def test_chain_of_always_closed_lines(self):
+        net = _net([_bus(0, True), _bus(1), _bus(2), _bus(3), _bus(4, True)],
+                   [_line("a", 1, 2, flexible=False),
+                    _line("b", 2, 3, flexible=False),
+                    _line("s0", 0, 1), _line("s4", 3, 4), _line("t", 2, 4)])
+        forests = self.check(net, 3)
+        # open {s0, s4}, {s0, t}, {s4, t}: bus 3 fed via t, s4, then s0
+        assert forests.depth[3].tolist() == [2, 1, 3]
+
+    def test_flexible_line_with_joined_ends(self):
+        net = _net([_bus(0, True), _bus(1), _bus(2), _bus(3)],
+                   [_line("a", 0, 1, flexible=False),
+                    _line("b", 1, 2, flexible=False),
+                    _line("loop", 0, 2), _line("c", 2, 3), _line("d", 0, 3)])
+        forests = self.check(net, 2)
+        loop = [l.id for l in net.lines].index("loop")
+        assert not np.any(forests.parent_line == loop)
+
+    def test_single_radial_topology(self):
+        net = _net([_bus(0, True), _bus(1), _bus(2)],
+                   [_line("a", 0, 1, flexible=False),
+                    _line("b", 1, 2, flexible=False)])
+        forests = self.check(net, 1)
+        assert forests.label.tolist() == [[0], [0], [0]]
+        assert forests.depth.tolist() == [[0], [1], [2]]
+
+    def test_many_topologies_go_to_branch_and_bound(self):
+        net = grid_net()
+        forests = _radial_forests(net)
+        assert forests.count > _ENUMERATION_CAP
+        assert not forests.listed
+
+    def test_equal_costs_go_to_smallest_open_set(self):
+        # one substation: all three topologies of the triangle cost the same
+        net = _net([_bus(0, True), _bus(1), _bus(2)],
+                   [_line("c", 1, 2), _line("a", 0, 1), _line("b", 0, 2)])
+        sol = solve_hour(build_hour_model(net, [1e-5, 1.0, 1.0], [10.0]))
+        assert sol.statuses == {"a": 0, "b": 1, "c": 1}
+
+    def test_topology_at_its_rating_and_angle_bound_survives(self):
+        # 8 MW over x = 0.05 drops exactly 0.4 rad onto a line rated 8 MW
+        net = two_sub_net(rating_a=8.0)
+        opts = ModelOptions(angle_lo=-0.4, angle_hi=0.4)
+        sol = solve_hour(build_hour_model(net, two_sub_loads(8.0),
+                                          [10.0, 20.0], opts))
+        assert sol.statuses == {"s1-b": 1, "s2-b": 0}
+        assert sol.flows["s1-b"] == 8.0
+        assert sol.angles[2] == -0.4
+
+    def test_screen_survivor_still_needs_physics(self):
+        # 1.5e-6 MW over the rating: inside the screen's slack, outside
+        # evaluate_topology's, so the expensive side must win
+        net = two_sub_net(rating_a=8.0 - 1.5e-6)
+        sol = solve_hour(build_hour_model(net, two_sub_loads(8.0), [10.0, 20.0]))
+        assert sol.statuses == {"s1-b": 0, "s2-b": 1}
 
 
 class TestEvaluateTopology:
@@ -425,12 +573,45 @@ class TestSolveDay:
         assert info.value.hour == 1
         assert list(info.value.partial) == [0]
 
+    def test_parallel_schedules_match_serial_on_case1(self):
+        problem = day_problem(FixtureSpec(case_id=1))
+        serial = solve_day(problem)
+        parallel = solve_day(problem, jobs=2)
+        assert [h.statuses for h in parallel.hours] == [h.statuses for h in serial.hours]
+        assert parallel.total_cost == serial.total_cost
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_node_limit_reports_index_and_partials(self, jobs):
+        # light loads leave hour 1 to the root; heavy ones need a search
+        light = np.full(16, 0.01)
+        heavy = np.full(16, 0.1)
+        problem = DayProblem(grid_net(), np.array([light, heavy]),
+                             np.array([[10.0, 10.0], [10.0, 20.0]]))
+        with pytest.raises(NodeLimitError, match="hour 2") as info:
+            solve_day(problem, solver_opts=SolverOptions(max_nodes=1), jobs=jobs)
+        assert info.value.hour == 1
+        assert list(info.value.partial) == [0]
+        assert info.value.partial[0].stats.relaxations >= 1
+
     def test_monolithic_matches_decomposed(self):
         problem = two_hour_problem()
         split = solve_day(problem)
         joint = solve_day(problem, monolithic=True)
         assert joint.total_cost == pytest.approx(split.total_cost, rel=1e-9)
         assert [h.statuses for h in joint.hours] == [h.statuses for h in split.hours]
+
+
+def grid_net():
+    """A 4 x 4 grid of switchable lines fed from two opposite corners:
+    186,368 radial topologies, above the enumeration cap."""
+    buses = [_bus(i, i in (0, 15)) for i in range(16)]
+    lines = []
+    for i in range(16):
+        if i % 4 < 3:
+            lines.append(_line(f"h{i}", i, i + 1, x=0.01, rating=0.5))
+        if i < 12:
+            lines.append(_line(f"v{i}", i, i + 4, x=0.01, rating=0.5))
+    return _net(buses, lines)
 
 
 def random_switchable_net(rng):
@@ -470,11 +651,22 @@ def test_search_agrees_with_enumeration_on_random_networks(seed):
     except InfeasibleHourError:
         with pytest.raises(InfeasibleHourError):
             solve_hour(model)
+        with pytest.raises(InfeasibleHourError):
+            branch_and_bound(model)
         return
     sol = solve_hour(model)
     assert sol.cost == pytest.approx(oracle.cost, rel=1e-6)
     assert is_spanning_forest(net, sol.closed_flexible() |
                               {l.id for l in net.nonflexible_lines})
+    assert branch_and_bound(model).cost == pytest.approx(oracle.cost, rel=1e-6)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 10_000))
+def test_listing_matches_brute_force_on_random_networks(seed):
+    net, _loads, _prices = random_switchable_net(np.random.default_rng(seed))
+    listed = listed_closed_sets(net, _radial_forests(net))
+    assert sorted(map(sorted, listed)) == sorted(map(sorted, radial_closed_sets(net)))
 
 
 def random_congested_net(rng):
@@ -515,9 +707,12 @@ def test_search_agrees_with_enumeration_under_congestion(seed):
     except InfeasibleHourError:
         with pytest.raises(InfeasibleHourError):
             solve_hour(model)
+        with pytest.raises(InfeasibleHourError):
+            branch_and_bound(model)
         return
     sol = solve_hour(model)
     assert sol.cost == pytest.approx(oracle.cost, rel=1e-6)
+    assert branch_and_bound(model).cost == pytest.approx(oracle.cost, rel=1e-6)
 
 
 class TestDayModel:
