@@ -1,0 +1,165 @@
+"""Time ranked enumeration against the branch and bound on case-4 variants.
+
+The variants are generated case-4 networks with one or two extra
+switchable ties (more radial topologies, 39 buses), some feeder lines
+made always-closed (fewer), or longer feeders (the same 16,017
+topologies over more buses, with reactances shrunk by the square of the
+feeder length so the angle drops stay those of case 4). For each variant
+the script lists the forest set once and solves hours 8, 15 and 20 both
+ways, ignoring _ENUMERATION_CAP and _ENUMERATION_BYTES:
+
+    PYTHONPATH=src python3 bench/cap_crossover.py [VARIANT ...] [--hours 8,15,20]
+        [--no-bb VARIANT,...] [--out FILE]
+
+It prints one JSON record per variant: buses, lines, forest count, the
+listing time and its traced peak, the byte estimate that solve_hour
+compares with _ENUMERATION_BYTES, and per hour the enumeration and
+branch-and-bound times, nodes and costs (which must agree to 1e-9).
+
+    PYTHONPATH=src python3 bench/cap_crossover.py VARIANT --peak enum|bb
+
+instead solves the first hour one way only (enumeration includes the
+listing) and reports the process's peak resident memory before and
+after; run one variant per process, since the peak never falls.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import resource
+import sys
+import time
+import tracemalloc
+from dataclasses import replace
+
+import numpy as np
+
+from reconf.casegen import FixtureSpec, day_problem
+from reconf.model import Line, Network
+import reconf.optimize as opt
+
+# name: (extra ties as ((feeder, offset), (feeder, offset)), feeder size,
+#        leading lines per feeder made always-closed)
+VARIANTS = {
+    "c4": ((), 13, 0),
+    "c4-fixed4+tie_c": ((((1, 11), (2, 9)),), 13, 4),
+    "c4+tie_a": ((((0, 3), (1, 3)),), 13, 0),
+    "c4+tie_b": ((((0, 7), (2, 7)),), 13, 0),
+    "c4+tie_c": ((((1, 11), (2, 9)),), 13, 0),
+    "c4+tie_d": ((((0, 11), (1, 11)),), 13, 0),
+    "c4+ties_ac": ((((0, 3), (1, 3)), ((1, 11), (2, 9))), 13, 0),
+    "c4-feeders40": ((), 40, 0),
+    "c4-feeders100": ((), 100, 0),
+    "c4-feeders170": ((), 170, 0),
+}
+
+
+def variant(extra, size, fixed) -> opt.DayProblem:
+    spec = FixtureSpec(case_id=4, feeder_size=size,
+                       reactance_range=(0.01 * (13 / size) ** 2,
+                                        0.1 * (13 / size) ** 2))
+    problem = day_problem(spec)
+    lines = []
+    for line in problem.net.lines:
+        a, b = line.from_bus, line.to_bus
+        if b == a + 1 and a // size == b // size and a % size < fixed:
+            line = replace(line, flexible=False)
+        lines.append(line)
+    rng = np.random.default_rng(7)
+    for (fa, ka), (fb, kb) in extra:
+        a, b = fa * size + ka, fb * size + kb
+        lines.append(Line(f"L({a + 1},{b + 1})", a, b,
+                          float(rng.uniform(*spec.reactance_range)),
+                          problem.net.lines[-1].rating, True))
+    net = Network(problem.net.buses, tuple(lines), problem.net.base_mva, id_base=1)
+    return opt.DayProblem(net, problem.loads, problem.prices)
+
+
+def measure(name: str, hours, with_bb: bool) -> dict:
+    problem = variant(*VARIANTS[name])
+    net = problem.net
+    opt._ENUMERATION_CAP = float("inf")
+    opt._ENUMERATION_BYTES = float("inf")
+    start = time.perf_counter()
+    forests = opt._radial_forests(net)
+    list_s = time.perf_counter() - start
+    del forests
+    tracemalloc.start()
+    forests = opt._radial_forests(net)
+    list_peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    n_nodes, edges = opt._contracted_edges(net)
+    out = {"variant": name, "buses": net.n_buses, "lines": len(net.lines),
+           "forests": forests.count, "list_s": round(list_s, 3),
+           "list_peak_mb": round(list_peak / 2**20, 1),
+           "estimate_mb": round(opt._forest_bytes(net, n_nodes, edges,
+                                                  forests.count) / 2**20, 1),
+           "hours": []}
+    for hour in hours:
+        model = opt.build_hour_model(
+            net, opt.apply_epsilon_loads(problem.loads[hour - 1]),
+            problem.prices[hour - 1])
+        start = time.perf_counter()
+        ranked = opt.solve_hour(model, forests=forests)
+        record = {"hour": hour, "enum_s": round(time.perf_counter() - start, 3),
+                  "cost": ranked.cost}
+        if with_bb:
+            start = time.perf_counter()
+            sols, stats = opt._solve_milp(opt._milp_from_hour(model),
+                                          opt.SolverOptions())
+            record.update(bb_s=round(time.perf_counter() - start, 3),
+                          bb_nodes=stats.nodes)
+            if abs(sols[0].cost - ranked.cost) > 1e-9 * abs(ranked.cost):
+                raise SystemExit(f"{name} hour {hour}: costs differ "
+                                 f"{sols[0].cost} vs {ranked.cost}")
+        out["hours"].append(record)
+    return out
+
+
+def peak(name: str, hour: int, path: str) -> dict:
+    problem = variant(*VARIANTS[name])
+    model = opt.build_hour_model(
+        problem.net, opt.apply_epsilon_loads(problem.loads[hour - 1]),
+        problem.prices[hour - 1])
+    opt._ENUMERATION_CAP = float("inf")
+    opt._ENUMERATION_BYTES = float("inf")
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+    start = time.perf_counter()
+    if path == "enum":
+        cost = opt.solve_hour(model).cost
+    else:
+        cost = opt._solve_milp(opt._milp_from_hour(model), opt.SolverOptions())[0][0].cost
+    return {"variant": name, "hour": hour, "path": path,
+            "s": round(time.perf_counter() - start, 3), "cost": cost,
+            "rss_before_mb": round(before, 1),
+            "peak_rss_mb": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+                                 / 1024, 1)}
+
+
+def main(argv=None) -> None:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("variants", nargs="*", default=list(VARIANTS))
+    parser.add_argument("--hours", default="8,15,20")
+    parser.add_argument("--no-bb", default="",
+                        help="comma-separated variants to time by enumeration only")
+    parser.add_argument("--peak", choices=("enum", "bb"))
+    parser.add_argument("--out", help="also write the records to this JSON file")
+    args = parser.parse_args(argv)
+    hours = [int(h) for h in args.hours.split(",")]
+    skip = set(filter(None, args.no_bb.split(",")))
+    records = []
+    for name in args.variants:
+        if args.peak:
+            records.append(peak(name, hours[0], args.peak))
+        else:
+            records.append(measure(name, hours, name not in skip))
+        print(json.dumps(records[-1]), flush=True)
+    if args.out:
+        with open(args.out, "w") as fh:
+            json.dump({"argv": sys.argv[1:], "records": records}, fh, indent=1)
+            fh.write("\n")
+
+
+if __name__ == "__main__":
+    sys.exit(main())

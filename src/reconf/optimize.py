@@ -7,8 +7,8 @@ radially within thermal limits, at minimum total substation energy cost.
 Count, then enumerate. The radial topologies are the spanning trees of
 the network with its substations merged and its always-closed lines
 contracted, and Kirchhoff's matrix-tree theorem counts them. When there
-are at most _ENUMERATION_CAP of them they are listed once per network,
-and each hour ranks them by cost, which in the lossless DC model depends
+are at most _ENUMERATION_CAP of them and they fit in _ENUMERATION_BYTES
+they are listed once per network, and each hour ranks them by cost, which in the lossless DC model depends
 only on the substation feeding each bus. The cheapest one that passes a
 vectorized rating and angle screen and then exact physics is optimal;
 equal costs go to the lexicographically smallest open set. Above the cap
@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
-from itertools import combinations
+from itertools import combinations, product
 
 import numpy as np
 
@@ -353,13 +353,20 @@ def enumerate_hour(net: Network, loads_t, prices_t,
 # ---------------------------------------------------------------------------
 # count, then enumerate: ranked spanning forests
 
-# Networks with at most this many radial topologies are solved by ranked
-# enumeration. A forest costs 3 bytes per bus of layout and 32 bytes of
-# per-hour ranking arrays: at the cap, 7.5 MB for a 39-bus network, a
-# fifth of the solver's peak. Listing takes about 9 us per forest (0.45 s
-# at the cap, once per network, under one case-4 hour of branch and
-# bound) and ranking about 0.2 us per forest per hour.
-_ENUMERATION_CAP = 50_000
+# A network is solved by ranked enumeration when it has at most
+# _ENUMERATION_CAP radial topologies and listing and ranking them takes at
+# most _ENUMERATION_BYTES (_forest_bytes); otherwise by branch and bound.
+# Measured on case-4 variants (bench/cap_crossover.py, BENCH_cap.json):
+# on 39 buses listing costs 2.5-2.9 us and an hour 0.8-1.3 us per forest,
+# and enumeration, listing included, beat the branch and bound on every
+# hour up to the largest count tried, 398,545 (1.2 s + 0.4 s against
+# 2.9-4.6 s); the cap stops there. Memory is the other limit: a forest
+# set takes 3 bytes per bus (6 above 127 buses or lines), while the
+# branch and bound's own peak grows with the square of the network
+# (5 MB at 39 buses, 43 MB at 120, 262 MB at 300, where an hour took 47 s
+# against 0.5 s). The budget keeps a forest set below that largest peak.
+_ENUMERATION_CAP = 400_000
+_ENUMERATION_BYTES = 256 * 2**20
 
 # forests screened per vectorized batch while walking the ranked order
 _SCREEN_CHUNK = 256
@@ -377,7 +384,8 @@ class _Forests:
 
     count is Kirchhoff's count of spanning trees of the contracted graph
     (substations merged into one root, always-closed lines contracted).
-    When it is at most _ENUMERATION_CAP the forests are listed, forest f
+    When it is at most _ENUMERATION_CAP and the forests fit in
+    _ENUMERATION_BYTES they are listed, forest f
     being the f-th open set in lexicographic order of sorted line ids, and
     stored per bus b as label[b, f] (position of the feeding substation in
     net.substations), parent_line[b, f] (index into net.lines of the line
@@ -395,13 +403,9 @@ class _Forests:
         return self.label is not None
 
 
-def _contracted_edges(net: Network) -> tuple[int, list[tuple[int, int, int]]]:
-    """Node count and flexible edges (line index, u, v) of the contracted graph.
-
-    Node 0 is the merged substations; buses joined by always-closed lines
-    share a node. Flexible lines whose ends already share a node could
-    only close a loop and are dropped; the rest come in sorted-id order.
-    """
+def _base_contraction(net: Network) -> DisjointSet:
+    """Buses 0..n-1 plus root n: substations merged into the root and
+    always-closed lines contracted."""
     n = net.n_buses
     dsu = DisjointSet(n + 1)
     for b in net.substations:
@@ -410,6 +414,18 @@ def _contracted_edges(net: Network) -> tuple[int, list[tuple[int, int, int]]]:
         if not dsu.unite(line.from_bus, line.to_bus):
             raise StructureError(
                 "always-closed lines already form a loop or tie substations")
+    return dsu
+
+
+def _contracted_edges(net: Network) -> tuple[int, list[tuple[int, int, int]]]:
+    """Node count and flexible edges (line index, u, v) of the contracted graph.
+
+    Node 0 is the merged substations; buses joined by always-closed lines
+    share a node. Flexible lines whose ends already share a node could
+    only close a loop and are dropped; the rest come in sorted-id order.
+    """
+    n = net.n_buses
+    dsu = _base_contraction(net)
     node = {dsu.find(n): 0}
     for b in range(n):
         node.setdefault(dsu.find(b), len(node))
@@ -494,15 +510,25 @@ def _insert(basis: dict[int, int], vector: int) -> bool:
 def _open_sets(masks: list[int], rank: int, count: int) -> np.ndarray:
     """Every independent set of `rank` edges, in lexicographic order.
 
-    Every call of the recursion yields at least one set: a prefix is only
-    extended by an edge when the edges after it can still complete a
-    basis, so the work grows with the output, not with the subsets tried.
+    Edges with equal masks (lines in series on the same cycles) are
+    interchangeable and an open set holds at most one of them, so the
+    recursion runs over the distinct nonzero masks, whose number grows
+    with the cycles and not with the buses; each independent set of masks
+    then stands for every choice of one edge per mask. Every call of the
+    recursion yields at least one set: a prefix is only extended by a
+    mask when the masks after it can still complete a basis, so the work
+    grows with the output, not with the subsets tried.
     """
-    m = len(masks)
-    suffix = [dict() for _ in range(m + 1)]   # basis of masks[i:]
+    members: dict[int, list[int]] = {}
+    for i, mask in enumerate(masks):
+        if mask:
+            members.setdefault(mask, []).append(i)
+    distinct = list(members)
+    m = len(distinct)
+    suffix = [dict() for _ in range(m + 1)]   # basis of distinct[i:]
     for i in reversed(range(m)):
         suffix[i] = dict(suffix[i + 1])
-        _insert(suffix[i], masks[i])
+        _insert(suffix[i], distinct[i])
 
     def completes(basis, i) -> bool:
         if len(basis) + len(suffix[i]) < rank:
@@ -514,38 +540,60 @@ def _open_sets(masks: list[int], rank: int, count: int) -> np.ndarray:
             _insert(both, vector)
         return len(both) == rank
 
-    out = np.empty((count, rank), dtype=np.intp)
+    out = np.empty((count, rank), dtype=np.min_scalar_type(-len(masks)))
     chosen: list[int] = []
     listed = 0
 
     def extend(start: int, basis: dict[int, int]) -> None:
         nonlocal listed
         if len(chosen) == rank:
-            out[listed] = chosen
-            listed += 1
+            rows = list(product(*(members[distinct[i]] for i in chosen)))
+            block = np.array(rows, dtype=out.dtype).reshape(len(rows), rank)
+            if listed + len(block) <= count:
+                out[listed:listed + len(block)] = block
+            listed += len(block)
             return
         for i in range(start, m):
             grown = dict(basis)
-            if _insert(grown, masks[i]) and completes(grown, i + 1):
+            if _insert(grown, distinct[i]) and completes(grown, i + 1):
                 chosen.append(i)
                 extend(i + 1, grown)
                 chosen.pop()
             if not completes(basis, i + 1):
-                break   # no later edge can complete this prefix either
+                break   # no later mask can complete this prefix either
 
     if count:
         extend(0, {})
     if listed != count:
         raise RuntimeError(
             f"listed {listed} spanning forests but Kirchhoff counts {count}")
+    if rank:
+        out.sort(axis=1)
+        out = out[np.lexsort(out.T[::-1])]
     return out
+
+
+def _layout_dtype(net: Network) -> np.dtype:
+    """int8 while bus and line indices fit it, int16 beyond."""
+    return np.min_scalar_type(-max(net.n_buses, len(net.lines)))
+
+
+def _forest_bytes(net: Network, n_nodes: int, edges, count) -> float:
+    """Bytes to list and rank count forests: per forest the layout, the
+    build's closed mask per edge and open set (sorted into a copy), and
+    32 bytes of an hour's costs, order and sort temporaries."""
+    itemsize = _layout_dtype(net).itemsize
+    rank = len(edges) - (n_nodes - 1)
+    return count * (3 * net.n_buses * itemsize + len(edges)
+                    + 2 * rank * itemsize + 32)
 
 
 def _radial_forests(net: Network) -> _Forests:
     """Count the network's radial topologies and list them if few enough."""
     n_nodes, edges = _contracted_edges(net)
     count = _spanning_tree_count(n_nodes, edges)
-    if count > _ENUMERATION_CAP:
+    if (count > _ENUMERATION_CAP
+            or _forest_bytes(net, n_nodes, edges, count) > _ENUMERATION_BYTES):
         return _Forests(count)
     masks, rank = _cycle_masks(n_nodes, edges)
     opened = _open_sets(masks, rank, count)
@@ -559,49 +607,53 @@ def _radial_forests(net: Network) -> _Forests:
     for k, (li, _, _) in enumerate(edges):
         closed[li] = ~np.any(opened == k, axis=1)
     del opened
+    adjacent: list[list[tuple[int, int]]] = [[] for _ in range(net.n_buses)]
+    for k, line in enumerate(net.lines):
+        if closed[k] is not never:
+            adjacent[line.from_bus].append((k, line.to_bus))
+            adjacent[line.to_bus].append((k, line.from_bus))
 
-    # breadth-first from the substations, all forests at once
+    # breadth-first from the substations, all forests at once: each level
+    # visits only the buses that some forest reached at the level before
     n = net.n_buses
-    small = np.min_scalar_type(-max(n, len(net.lines)))
+    small = _layout_dtype(net)
     depth = np.full((n, count), -1, dtype=small)
     label = np.zeros((n, count), dtype=small)
     parent_line = np.full((n, count), -1, dtype=small)
     for s, b in enumerate(net.substations):
         depth[b] = 0
         label[b] = s
-    arcs = [(k, a, b, closed[k]) for k, line in enumerate(net.lines)
-            if closed[k] is not never
-            for a, b in ((line.from_bus, line.to_bus),
-                         (line.to_bus, line.from_bus))]
+    frontier = list(net.substations)
     level = 0
-    grew = True
-    while grew:
-        grew = False
-        for k, a, b, on in arcs:
-            reach = (depth[a] == level) & (depth[b] < 0)
-            if on is not None:
-                reach &= on
-            if reach.any():
-                depth[b][reach] = level + 1
-                label[b][reach] = label[a][reach]
-                parent_line[b][reach] = k
-                grew = True
+    while frontier:
+        reached = set()
+        for a in frontier:
+            at = np.flatnonzero(depth[a] == level)
+            for k, b in adjacent[a]:
+                take = at[depth[b, at] < 0]
+                if closed[k] is not None:
+                    take = take[closed[k][take]]
+                if take.size:
+                    depth[b, take] = level + 1
+                    label[b, take] = label[a, take]
+                    parent_line[b, take] = k
+                    reached.add(b)
+        frontier = sorted(reached)
         level += 1
     return _Forests(count, label, parent_line, depth)
 
 
-def _screen(model: HourModel, forests: _Forests, chunk: np.ndarray) -> np.ndarray:
+def _screen(model: HourModel, forests: _Forests, lines, chunk: np.ndarray) -> np.ndarray:
     """Which forests of chunk keep every rating and angle bound.
 
+    lines holds the network's line ends, ratings and reactances as arrays.
     Flows are subtree load sums, accumulated from the deepest level up;
     angles then drop by flow times reactance from each substation down.
     Arrays are bus-major and flattened: entry b * width + j is bus b in
     the chunk's j-th forest.
     """
     net, opts = model.net, model.opts
-    ends = np.array([(l.from_bus, l.to_bus) for l in net.lines], dtype=np.intp)
-    rating = np.array([l.rating for l in net.lines])
-    reactance = np.array([l.reactance for l in net.lines])
+    ends, rating, reactance = lines
     width = len(chunk)
     depth = forests.depth[:, chunk].ravel()
     by_depth = np.argsort(depth, kind="stable")
@@ -643,9 +695,12 @@ def _solve_by_enumeration(model: HourModel, forests: _Forests) -> HourSolution:
         cost += model.loads[b] * model.prices[forests.label[b]]
     order = np.argsort(cost, kind="stable")
     del cost
+    lines = (np.array([(l.from_bus, l.to_bus) for l in net.lines], dtype=np.intp),
+             np.array([l.rating for l in net.lines]),
+             np.array([l.reactance for l in net.lines]))
     for start in range(0, len(order), _SCREEN_CHUNK):
         chunk = order[start:start + _SCREEN_CHUNK]
-        for f in chunk[_screen(model, forests, chunk)]:
+        for f in chunk[_screen(model, forests, lines, chunk)]:
             closed = {net.lines[k].id for k in forests.parent_line[:, f]
                       if k >= 0 and net.lines[k].flexible}
             sol = evaluate_topology(net, closed, model.loads, model.prices,
@@ -687,14 +742,7 @@ class _Milp:
     def __post_init__(self):
         n = self.net.n_buses
         self.root = n
-        dsu = DisjointSet(n + 1)
-        for b in self.net.substations:
-            dsu.unite(b, self.root)
-        for line in self.net.nonflexible_lines:
-            if not dsu.unite(line.from_bus, line.to_bus):
-                raise StructureError(
-                    "always-closed lines already form a loop or tie substations")
-        self.base_dsu = dsu
+        self.base_dsu = _base_contraction(self.net)
         subs = set(self.net.substations)
         self.contract = [self.root if b in subs else b for b in range(n)]
         self.contract.append(self.root)
@@ -1145,9 +1193,10 @@ def solve_hour(model: HourModel, opts: SolverOptions | None = None,
     """Optimal statuses for one hour; seeds are candidate status dicts.
 
     forests is the network's forest set (built here when not given). A
-    network with at most _ENUMERATION_CAP radial topologies is solved by
-    ranked enumeration; opts and seeds then go unused. Larger networks
-    go to the branch and bound.
+    network whose radial topologies are listed (at most _ENUMERATION_CAP
+    of them, within _ENUMERATION_BYTES) is solved by ranked enumeration;
+    opts and seeds then go unused. Other networks go to the branch and
+    bound.
     """
     opts = opts or SolverOptions()
     if forests is None:

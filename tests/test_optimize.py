@@ -421,6 +421,36 @@ class TestForestSet:
         assert forests.count > _ENUMERATION_CAP
         assert not forests.listed
 
+    def test_many_buses_few_topologies(self):
+        # case 3 with 60-bus feeders: 214 topologies over 180 buses and
+        # 181 lines, so the layout needs int16; reactances shrink with the
+        # square of the feeder length to keep the angle drops of case 3
+        spec = FixtureSpec(case_id=3, feeder_size=60,
+                           reactance_range=(0.01 * (13 / 60) ** 2,
+                                            0.1 * (13 / 60) ** 2))
+        problem = day_problem(spec)
+        forests = _radial_forests(problem.net)
+        assert forests.count == 214 and forests.listed
+        assert forests.parent_line.dtype == np.int16
+        listed = listed_closed_sets(problem.net, forests)
+        assert sorted(map(sorted, listed)) == sorted(
+            map(sorted, radial_closed_sets(problem.net)))
+        model = build_hour_model(problem.net, apply_epsilon_loads(problem.loads[19]),
+                                 problem.prices[19])
+        assert solve_hour(model, forests=forests).cost == pytest.approx(
+            branch_and_bound(model).cost, rel=1e-9)
+
+    def test_many_buses_over_the_byte_budget_go_to_branch_and_bound(self):
+        # case 4 with 50-bus feeders and two more ties: 398,545 topologies,
+        # under the cap, but listing them over 150 buses would take 430 MiB
+        net = day_problem(FixtureSpec(case_id=4, feeder_size=50)).net
+        extra = [Line("t1", 3, 53, 0.05, 1.0, True),
+                 Line("t2", 61, 109, 0.05, 1.0, True)]
+        net = Network(net.buses, net.lines + tuple(extra), net.base_mva)
+        forests = _radial_forests(net)
+        assert forests.count == 398_545 <= _ENUMERATION_CAP
+        assert not forests.listed
+
     def test_equal_costs_go_to_smallest_open_set(self):
         # one substation: all three topologies of the triangle cost the same
         net = _net([_bus(0, True), _bus(1), _bus(2)],
@@ -583,8 +613,8 @@ class TestSolveDay:
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_node_limit_reports_index_and_partials(self, jobs):
         # light loads leave hour 1 to the root; heavy ones need a search
-        light = np.full(16, 0.01)
-        heavy = np.full(16, 0.1)
+        light = np.full(20, 0.01)
+        heavy = np.full(20, 0.1)
         problem = DayProblem(grid_net(), np.array([light, heavy]),
                              np.array([[10.0, 10.0], [10.0, 20.0]]))
         with pytest.raises(NodeLimitError, match="hour 2") as info:
@@ -602,15 +632,15 @@ class TestSolveDay:
 
 
 def grid_net():
-    """A 4 x 4 grid of switchable lines fed from two opposite corners:
-    186,368 radial topologies, above the enumeration cap."""
-    buses = [_bus(i, i in (0, 15)) for i in range(16)]
+    """A 4 x 5 grid of switchable lines fed from two opposite corners:
+    8,454,183 radial topologies, above the enumeration cap."""
+    buses = [_bus(i, i in (0, 19)) for i in range(20)]
     lines = []
-    for i in range(16):
-        if i % 4 < 3:
+    for i in range(20):
+        if i % 5 < 4:
             lines.append(_line(f"h{i}", i, i + 1, x=0.01, rating=0.5))
-        if i < 12:
-            lines.append(_line(f"v{i}", i, i + 4, x=0.01, rating=0.5))
+        if i < 15:
+            lines.append(_line(f"v{i}", i, i + 5, x=0.01, rating=0.5))
     return _net(buses, lines)
 
 
