@@ -89,12 +89,12 @@ def measure(name: str, hours, with_bb: bool) -> dict:
     forests = opt._radial_forests(net)
     list_peak = tracemalloc.get_traced_memory()[1]
     tracemalloc.stop()
-    n_nodes, edges = opt._contracted_edges(net)
+    _n_nodes, edges = opt._contracted_edges(net)
     out = {"variant": name, "buses": net.n_buses, "lines": len(net.lines),
            "forests": forests.count, "list_s": round(list_s, 3),
            "list_peak_mb": round(list_peak / 2**20, 1),
-           "estimate_mb": round(opt._forest_bytes(net, n_nodes, edges,
-                                                  forests.count) / 2**20, 1),
+           "estimate_mb": round(opt._forest_bytes(net, edges, forests.count)
+                                / 2**20, 1),
            "hours": []}
     for hour in hours:
         model = opt.build_hour_model(

@@ -8,12 +8,17 @@ Count, then enumerate. The radial topologies are the spanning trees of
 the network with its substations merged and its always-closed lines
 contracted, and Kirchhoff's matrix-tree theorem counts them. When there
 are at most _ENUMERATION_CAP of them and they fit in _ENUMERATION_BYTES
-they are listed once per network, and each hour ranks them by cost, which in the lossless DC model depends
-only on the substation feeding each bus. The cheapest one that passes a
-vectorized rating and angle screen and then exact physics is optimal;
-equal costs go to the lexicographically smallest open set. Above the cap
-the hour is a best-bound branch and bound over line statuses with an LP
-relaxation, verifying every candidate with exact physics.
+they are listed once per network, together with the few distinct
+assignments of buses to substations they induce: in the lossless DC
+model an hour's cost depends only on that assignment. Each hour prices
+every assignment once, drops those that load a substation beyond what
+its lines can carry, ranks the remaining forests by cost, and the
+cheapest one that passes a vectorized rating and angle screen and then
+exact physics is optimal; equal costs go to the lexicographically
+smallest open set. Above the cap the hour is a best-bound branch and
+bound over line statuses with an LP relaxation, verifying every
+candidate with exact physics; the relaxation is built, and the LP
+engine imported, only then.
 
 enumerate_hour tries every closed set of the right size and serves as an
 independent check on small instances. solve_day chains the hourly solves
@@ -25,12 +30,14 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
-from itertools import combinations, product
+from functools import cached_property
+from itertools import combinations
+from math import prod
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .dcflow import FlowSolution, check_limits, solve_flows
-from .lp import OPTIMAL, BlockSolver, LinearProgram
 from .model import (
     DisjointSet,
     Network,
@@ -39,6 +46,9 @@ from .model import (
     required_closed_flexible_count,
     validate,
 )
+
+if TYPE_CHECKING:
+    from .lp import LinearProgram
 
 
 class _HourError(Exception):
@@ -197,15 +207,32 @@ class _HourIndex:
 
 @dataclass(frozen=True)
 class HourModel:
-    """The LP relaxation of one hour plus everything needed to verify it."""
+    """One hour's data plus its LP relaxation, lp with column map index.
 
-    lp: LinearProgram
-    index: _HourIndex
+    Only the branch and bound reads the relaxation, so it is built on
+    first access: an hour solved by ranked enumeration never builds it,
+    and a process that only enumerates never imports the LP engine.
+    """
+
     k_star: int
     net: Network
     loads: np.ndarray
     prices: np.ndarray
     opts: ModelOptions
+
+    @cached_property
+    def _relaxation(self) -> tuple[LinearProgram, _HourIndex]:
+        from .lp import LinearProgram
+        lp = LinearProgram()
+        return lp, _add_hour(lp, self.net, self.loads, self.prices)
+
+    @property
+    def lp(self) -> LinearProgram:
+        return self._relaxation[0]
+
+    @property
+    def index(self) -> _HourIndex:
+        return self._relaxation[1]
 
 
 def _add_hour(lp: LinearProgram, net: Network, loads, prices) -> _HourIndex:
@@ -253,7 +280,8 @@ def _add_hour(lp: LinearProgram, net: Network, loads, prices) -> _HourIndex:
 
 def build_hour_model(net: Network, loads_t, prices_t,
                      opts: ModelOptions | None = None) -> HourModel:
-    """Build one hour's relaxation; J columns carry [0, 1] bounds."""
+    """One hour's model; its relaxation (J columns bounded to [0, 1]) is
+    built when first read."""
     opts = opts or ModelOptions()
     loads_t = np.asarray(loads_t, dtype=float)
     prices_t = np.asarray(prices_t, dtype=float)
@@ -263,9 +291,7 @@ def build_hour_model(net: Network, loads_t, prices_t,
         raise ValueError(
             f"expected {len(net.substations)} prices, got {prices_t.shape}")
     k_star = required_closed_flexible_count(net)
-    lp = LinearProgram()
-    index = _add_hour(lp, net, loads_t, prices_t)
-    return HourModel(lp, index, k_star, net, loads_t, prices_t, opts)
+    return HourModel(k_star, net, loads_t, prices_t, opts)
 
 
 @dataclass(frozen=True)
@@ -284,6 +310,7 @@ class DayModel:
 def build_day_model(problem: DayProblem,
                     opts: ModelOptions | None = None) -> DayModel:
     """Build the whole horizon as one program; hours share no columns."""
+    from .lp import LinearProgram
     opts = opts or ModelOptions()
     k_star = required_closed_flexible_count(problem.net)
     lp = LinearProgram()
@@ -357,14 +384,15 @@ def enumerate_hour(net: Network, loads_t, prices_t,
 # _ENUMERATION_CAP radial topologies and listing and ranking them takes at
 # most _ENUMERATION_BYTES (_forest_bytes); otherwise by branch and bound.
 # Measured on case-4 variants (bench/cap_crossover.py, BENCH_cap.json):
-# on 39 buses listing costs 2.5-2.9 us and an hour 0.8-1.3 us per forest,
+# on 39 buses listing costs about 1 us and an hour 0.04-0.5 us per forest,
 # and enumeration, listing included, beat the branch and bound on every
-# hour up to the largest count tried, 398,545 (1.2 s + 0.4 s against
-# 2.9-4.6 s); the cap stops there. Memory is the other limit: a forest
-# set takes 3 bytes per bus (6 above 127 buses or lines), while the
-# branch and bound's own peak grows with the square of the network
-# (5 MB at 39 buses, 43 MB at 120, 262 MB at 300, where an hour took 47 s
-# against 0.5 s). The budget keeps a forest set below that largest peak.
+# hour up to the largest count tried, 398,545 (0.5 s + 0.07 s against
+# 2.9-4.6 s); the cap stops there. Memory is the other limit: listing
+# takes about 3 bytes per bus and forest (6 above 127 buses or 128
+# lines; _forest_bytes), while the branch and bound's own peak grows with
+# the square of the network (5 MB at 39 buses, 43 MB at 120, 262 MB at
+# 300, where an hour took 47 s against 0.02-0.04 s). The budget keeps a
+# forest set below that largest peak.
 _ENUMERATION_CAP = 400_000
 _ENUMERATION_BYTES = 256 * 2**20
 
@@ -385,22 +413,30 @@ class _Forests:
     count is Kirchhoff's count of spanning trees of the contracted graph
     (substations merged into one root, always-closed lines contracted).
     When it is at most _ENUMERATION_CAP and the forests fit in
-    _ENUMERATION_BYTES they are listed, forest f
-    being the f-th open set in lexicographic order of sorted line ids, and
-    stored per bus b as label[b, f] (position of the feeding substation in
-    net.substations), parent_line[b, f] (index into net.lines of the line
-    toward that substation, -1 at substations) and depth[b, f] (lines
-    between b and its substation). Otherwise the arrays are None.
+    _ENUMERATION_BYTES they are listed, forest f being the f-th open set
+    in lexicographic order of sorted line ids; otherwise the arrays are
+    None. Per bus b and forest f, parent_line[b, f] is the index into
+    net.lines of the line toward b's substation (-1 at substations) and
+    depth[b, f] the number of lines between them. An hour's cost depends
+    only on which substation feeds each bus, and many forests share that
+    assignment: assignments[b, a] is the position in net.substations of
+    the substation feeding b under distinct assignment a, and
+    assignment[f] is forest f's. lines holds the network's line ends,
+    ratings and reactances as arrays, and capacity[s] what substation s
+    can send out: the ratings of its lines, each plus the screen's slack.
     """
 
     count: int | float          # a float only when above the cap
-    label: np.ndarray | None = None
+    assignment: np.ndarray | None = None
+    assignments: np.ndarray | None = None
     parent_line: np.ndarray | None = None
     depth: np.ndarray | None = None
+    lines: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
+    capacity: np.ndarray | None = None
 
     @property
     def listed(self) -> bool:
-        return self.label is not None
+        return self.assignment is not None
 
 
 def _base_contraction(net: Network) -> DisjointSet:
@@ -547,11 +583,16 @@ def _open_sets(masks: list[int], rank: int, count: int) -> np.ndarray:
     def extend(start: int, basis: dict[int, int]) -> None:
         nonlocal listed
         if len(chosen) == rank:
-            rows = list(product(*(members[distinct[i]] for i in chosen)))
-            block = np.array(rows, dtype=out.dtype).reshape(len(rows), rank)
-            if listed + len(block) <= count:
-                out[listed:listed + len(block)] = block
-            listed += len(block)
+            # every choice of one edge per chosen mask, written in place
+            groups = [members[distinct[i]] for i in chosen]
+            shape = [len(g) for g in groups]
+            size = prod(shape)
+            if listed + size <= count:
+                block = out[listed:listed + size].reshape(shape + [rank])
+                for j, group in enumerate(groups):
+                    block[..., j] = np.reshape(group, [-1 if i == j else 1
+                                                       for i in range(rank)])
+            listed += size
             return
         for i in range(start, m):
             grown = dict(basis)
@@ -574,18 +615,129 @@ def _open_sets(masks: list[int], rank: int, count: int) -> np.ndarray:
 
 
 def _layout_dtype(net: Network) -> np.dtype:
-    """int8 while bus and line indices fit it, int16 beyond."""
-    return np.min_scalar_type(-max(net.n_buses, len(net.lines)))
+    """int8 while bus and line indices fit it below its largest value, which
+    marks unreached buses during the build; int16 beyond."""
+    return np.min_scalar_type(-max(net.n_buses + 1, len(net.lines)))
 
 
-def _forest_bytes(net: Network, n_nodes: int, edges, count) -> float:
-    """Bytes to list and rank count forests: per forest the layout, the
-    build's closed mask per edge and open set (sorted into a copy), and
-    32 bytes of an hour's costs, order and sort temporaries."""
-    itemsize = _layout_dtype(net).itemsize
-    rank = len(edges) - (n_nodes - 1)
-    return count * (3 * net.n_buses * itemsize + len(edges)
-                    + 2 * rank * itemsize + 32)
+def _forest_bytes(net: Network, edges, count) -> float:
+    """Peak bytes of listing and ranking count forests.
+
+    Per forest, the build holds the layout's parent line, depth and
+    substation label per bus, the larger of the closed mask per edge and
+    the assignment packing's words, sort order and boundary flags, and 8
+    bytes of temporaries. An hour holds the parent lines, depths and
+    assignment ids, 48 bytes of ranking per forest and, per bus and
+    screened forest, about 56 bytes of the screen's level arrays. The
+    open sets, the distinct assignments and an hour's arrays over them
+    (2,767 assignments for case 4's 16,017 forests) stay below these
+    peaks.
+    """
+    n, itemsize = net.n_buses, _layout_dtype(net).itemsize
+    bits = max(1, (len(net.substations) - 1).bit_length())
+    words = -(-n // (64 // bits))
+    build = count * (3 * n * itemsize + max(len(edges), 8 * words + 17) + 8)
+    hour = count * (2 * n * itemsize + 8 + 48) + n * _SCREEN_CHUNK * 56
+    return max(build, hour)
+
+
+def _layout(net: Network, closed: dict, count: int):
+    """Every forest's substation label, parent line and depth per bus.
+
+    closed maps each line that can close to its per-forest closed mask
+    (None: always closed). Depths start at the dtype's largest value,
+    which marks a bus not yet reached, and are relaxed over closed lines,
+    depth[b] = depth[a] + 1 where that is shorter, in whole rows of
+    forests. In a spanning forest every bus has one path to its
+    substation, so the result does not depend on the order of the
+    relaxations; sweeping the lines in breadth-first order from the
+    substations, alternately forward and backward, settles a chain fed
+    from either end in a few sweeps.
+    """
+    n = net.n_buses
+    small = _layout_dtype(net)
+    depth = np.full((n, count), np.iinfo(small).max, dtype=small)
+    label = np.zeros((n, count), dtype=small)
+    parent_line = np.full((n, count), -1, dtype=small)
+    adjacent: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    for k, line in enumerate(net.lines):
+        if k in closed:
+            adjacent[line.from_bus].append((k, line.to_bus))
+            adjacent[line.to_bus].append((k, line.from_bus))
+    subs = set(net.substations)
+    for s, b in enumerate(net.substations):
+        depth[b] = 0
+        label[b] = s
+    # each line's two arcs side by side, lines in breadth-first order
+    arcs, order, seen, taken = [], list(net.substations), set(subs), set()
+    for a in order:
+        for k, b in adjacent[a]:
+            if k in taken:
+                continue
+            taken.add(k)
+            arcs += [(u, v, k, closed[k]) for u, v in ((a, b), (b, a))
+                     if v not in subs]
+            if b not in seen:
+                seen.add(b)
+                order.append(b)
+    # sweep forward and backward until no arc reaches a new bus; an arc
+    # needs another look only once its source has gained entries since
+    reached = np.empty(count, dtype=bool)
+    stamp = [0] * n                        # step of each bus's last gain
+    looked = [-1] * len(arcs)              # step of each arc's last look
+    step, sweep, busy = 0, 0, True
+    while busy:
+        busy = False
+        for i in (range(len(arcs)) if sweep % 2 == 0
+                  else range(len(arcs) - 1, -1, -1)):
+            a, b, k, shut = arcs[i]
+            if stamp[a] <= looked[i]:
+                continue
+            busy = True
+            step += 1
+            looked[i] = step
+            # depth[a] + 1 < depth[b], written so the unreached mark cannot overflow
+            np.less(depth[a], depth[b] - 1, out=reached)
+            if shut is not None:
+                reached &= shut
+            if reached.any():
+                step += 1
+                stamp[b] = step
+                np.copyto(depth[b], depth[a] + 1, where=reached)
+                np.copyto(label[b], label[a], where=reached)
+                np.copyto(parent_line[b], k, where=reached)
+        sweep += 1
+    return label, parent_line, depth
+
+
+def _assignments(label: np.ndarray, n_subs: int) -> tuple[np.ndarray, np.ndarray]:
+    """Each column's id among the distinct columns of label, and those columns.
+
+    Columns (forests) are packed a few bits per bus into 64-bit words and
+    lexsorted, so equal columns become neighbours and share an id.
+    """
+    count = label.shape[1]
+    bits = np.uint64(max(1, (n_subs - 1).bit_length()))
+    per_word = 64 // int(bits)
+    words = []
+    for lo in range(0, label.shape[0], per_word):
+        word = np.zeros(count, dtype=np.uint64)
+        for row in label[lo:lo + per_word]:
+            word <<= bits
+            word |= row.astype(np.uint64)
+        words.append(word)
+    order = np.lexsort(words)
+    first = np.zeros(count, dtype=bool)
+    first[:1] = True
+    while words:
+        word = words.pop()[order]
+        first[1:] |= word[1:] != word[:-1]
+    del word
+    sorted_ids = np.cumsum(first)
+    sorted_ids -= 1
+    ids = np.empty_like(sorted_ids)
+    ids[order] = sorted_ids
+    return ids, label[:, order[first]]
 
 
 def _radial_forests(net: Network) -> _Forests:
@@ -593,67 +745,42 @@ def _radial_forests(net: Network) -> _Forests:
     n_nodes, edges = _contracted_edges(net)
     count = _spanning_tree_count(n_nodes, edges)
     if (count > _ENUMERATION_CAP
-            or _forest_bytes(net, n_nodes, edges, count) > _ENUMERATION_BYTES):
+            or _forest_bytes(net, edges, count) > _ENUMERATION_BYTES):
         return _Forests(count)
     masks, rank = _cycle_masks(n_nodes, edges)
     opened = _open_sets(masks, rank, count)
-
-    # closed[k]: per forest, whether line k is closed (None: always)
-    closed: list[np.ndarray | None] = [None] * len(net.lines)
-    never = np.zeros(count, dtype=bool)
-    for k, line in enumerate(net.lines):
-        if line.flexible:
-            closed[k] = never
-    for k, (li, _, _) in enumerate(edges):
-        closed[li] = ~np.any(opened == k, axis=1)
+    shut = np.ones((len(edges), count), dtype=bool)
+    shut[opened.T, np.arange(count)] = False
     del opened
-    adjacent: list[list[tuple[int, int]]] = [[] for _ in range(net.n_buses)]
-    for k, line in enumerate(net.lines):
-        if closed[k] is not never:
-            adjacent[line.from_bus].append((k, line.to_bus))
-            adjacent[line.to_bus].append((k, line.from_bus))
-
-    # breadth-first from the substations, all forests at once: each level
-    # visits only the buses that some forest reached at the level before
-    n = net.n_buses
-    small = _layout_dtype(net)
-    depth = np.full((n, count), -1, dtype=small)
-    label = np.zeros((n, count), dtype=small)
-    parent_line = np.full((n, count), -1, dtype=small)
-    for s, b in enumerate(net.substations):
-        depth[b] = 0
-        label[b] = s
-    frontier = list(net.substations)
-    level = 0
-    while frontier:
-        reached = set()
-        for a in frontier:
-            at = np.flatnonzero(depth[a] == level)
-            for k, b in adjacent[a]:
-                take = at[depth[b, at] < 0]
-                if closed[k] is not None:
-                    take = take[closed[k][take]]
-                if take.size:
-                    depth[b, take] = level + 1
-                    label[b, take] = label[a, take]
-                    parent_line[b, take] = k
-                    reached.add(b)
-        frontier = sorted(reached)
-        level += 1
-    return _Forests(count, label, parent_line, depth)
+    # per line that can close, its closed mask by forest (None: always)
+    closed: dict[int, np.ndarray | None] = {
+        k: None for k, line in enumerate(net.lines) if not line.flexible}
+    for e, (k, _, _) in enumerate(edges):
+        closed[k] = shut[e]
+    label, parent_line, depth = _layout(net, closed, count)
+    del closed, shut
+    assignment, assignments = _assignments(label, len(net.substations))
+    del label
+    lines = (np.array([(l.from_bus, l.to_bus) for l in net.lines], dtype=np.intp),
+             np.array([l.rating for l in net.lines]),
+             np.array([l.reactance for l in net.lines]))
+    capacity = np.array([sum(l.rating + _SCREEN_RATING_TOL for l in net.lines
+                             if b in (l.from_bus, l.to_bus))
+                         for b in net.substations])
+    return _Forests(count, assignment, assignments, parent_line, depth,
+                    lines, capacity)
 
 
-def _screen(model: HourModel, forests: _Forests, lines, chunk: np.ndarray) -> np.ndarray:
+def _screen(model: HourModel, forests: _Forests, chunk: np.ndarray) -> np.ndarray:
     """Which forests of chunk keep every rating and angle bound.
 
-    lines holds the network's line ends, ratings and reactances as arrays.
     Flows are subtree load sums, accumulated from the deepest level up;
     angles then drop by flow times reactance from each substation down.
     Arrays are bus-major and flattened: entry b * width + j is bus b in
     the chunk's j-th forest.
     """
     net, opts = model.net, model.opts
-    ends, rating, reactance = lines
+    ends, rating, reactance = forests.lines
     width = len(chunk)
     depth = forests.depth[:, chunk].ravel()
     by_depth = np.argsort(depth, kind="stable")
@@ -684,23 +811,34 @@ def _solve_by_enumeration(model: HourModel, forests: _Forests) -> HourSolution:
     """The cheapest forest that passes exact physics.
 
     In the lossless DC model an hour's cost depends only on which
-    substation feeds each bus, so every forest is priced without flows,
-    ranked by (cost, forest index), screened in that order and confirmed
-    with evaluate_topology; the first confirmed forest is optimal. Among
-    equal costs the lexicographically smallest open set wins.
+    substation feeds each bus, so each distinct assignment is priced
+    once, bus by bus, and its forests take its cost. Assignments that
+    load some substation beyond what its lines can carry are dropped
+    whole: a substation sends out what it serves less its own bus's
+    load, and no line can carry more than its rating. The remaining
+    forests are ranked by (cost, forest index), screened in that order
+    and confirmed with evaluate_topology; the first confirmed forest is
+    optimal. Among equal costs the lexicographically smallest open set
+    wins.
     """
-    net = model.net
-    cost = np.zeros(forests.count)
+    net, loads = model.net, model.loads
+    subs = list(net.substations)
+    labels = forests.assignments
+    # summed bus by bus, as a single forest's cost would be: each forest
+    # gets its own cost to the last bit, so ties between forests are exact
+    cost = np.zeros(labels.shape[1])
     for b in range(net.n_buses):
-        cost += model.loads[b] * model.prices[forests.label[b]]
-    order = np.argsort(cost, kind="stable")
-    del cost
-    lines = (np.array([(l.from_bus, l.to_bus) for l in net.lines], dtype=np.intp),
-             np.array([l.rating for l in net.lines]),
-             np.array([l.reactance for l in net.lines]))
+        cost += loads[b] * model.prices[labels[b]]
+    bus_loads = np.broadcast_to(loads[:, None], labels.shape)
+    served = np.array([np.add.reduce(bus_loads, axis=0, where=labels == s)
+                       for s in range(len(subs))])
+    served -= loads[subs, None]
+    fits = np.all(served <= forests.capacity[:, None], axis=0)[forests.assignment]
+    keep = np.flatnonzero(fits)
+    order = keep[np.argsort(cost[forests.assignment[keep]], kind="stable")]
     for start in range(0, len(order), _SCREEN_CHUNK):
         chunk = order[start:start + _SCREEN_CHUNK]
-        for f in chunk[_screen(model, forests, lines, chunk)]:
+        for f in chunk[_screen(model, forests, chunk)]:
             closed = {net.lines[k].id for k in forests.parent_line[:, f]
                       if k >= 0 and net.lines[k].flexible}
             sol = evaluate_topology(net, closed, model.loads, model.prices,
@@ -940,6 +1078,7 @@ def _solve_milp(milp: _Milp, opts: SolverOptions,
     parent's basis; fully-decided assignments skip the relaxation and go
     straight to physics.
     """
+    from .lp import OPTIMAL, BlockSolver
     solver = BlockSolver(milp.lp)
     relaxations = 0
 
@@ -1262,6 +1401,7 @@ def solve_day(problem: DayProblem, model_opts: ModelOptions | None = None,
         # hour-block: hours share no columns, so each block's optimum is
         # independent, while the matrix content still comes from the
         # day-wide builder rather than the per-hour one
+        from .lp import LinearProgram
         dm = build_day_model(problem, model_opts)
         lp = dm.lp
         hours = []

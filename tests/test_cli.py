@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
 from decimal import Decimal
+from pathlib import Path
 
 import pytest
 
+import reconf
 from reconf import cli, optimize
 from reconf.cli import main
 from reconf.optimize import apply_epsilon_loads, enumerate_hour
@@ -235,6 +240,23 @@ class TestSolve:
                      "--loads", tiny["loads"], "--prices", tiny["prices"],
                      "--out", str(tiny["dir"] / "run")]) == 0
         assert len(calls) == 1
+
+    def test_enumerated_solve_never_imports_the_lp_engine(self, tiny):
+        # a fresh interpreter: this one has long since imported reconf.lp
+        script = (
+            "import sys\n"
+            "from reconf.cli import main\n"
+            "code = main(sys.argv[1:])\n"
+            "print(code, 'reconf.lp' in sys.modules)\n")
+        argv = ["solve", "--network", tiny["network"], "--loads", tiny["loads"],
+                "--prices", tiny["prices"], "--out", str(tiny["dir"] / "run")]
+        out = subprocess.run(
+            [sys.executable, "-c", script, *argv], capture_output=True,
+            text=True, timeout=60, check=True,
+            env={**{k: v for k, v in os.environ.items()
+                    if not k.startswith("RECONF_")},
+                 "PYTHONPATH": str(Path(reconf.__file__).parents[1])})
+        assert out.stdout.split()[-2:] == ["0", "False"]
 
     def test_loads_header_mismatch(self, tiny, tmp_path):
         bad = _write(tmp_path / "bad_loads.csv",

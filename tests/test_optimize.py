@@ -1,3 +1,4 @@
+import hashlib
 from itertools import combinations
 
 import numpy as np
@@ -352,14 +353,45 @@ def radial_closed_sets(net):
             if is_spanning_forest(net, always | set(combo))]
 
 
+def forest_labels(forests):
+    """Per bus and forest, the feeding substation's position, rebuilt from
+    the assignment ids."""
+    return forests.assignments[:, forests.assignment]
+
+
 def listed_closed_sets(net, forests):
-    """Each listed forest's closed flexible lines, read off its parent lines."""
+    """Each listed forest's closed flexible lines, read off its parent lines.
+
+    Also walks every bus's parent lines to its substation: the walk must
+    use lines at the bus, its length must be the stored depth and its end
+    the rebuilt label. The distinct assignments must all be used and
+    differ from each other.
+    """
+    subs = {b: s for s, b in enumerate(net.substations)}
+    labels = forest_labels(forests)
     out = []
     for f in range(forests.count):
         lines = [net.lines[k] for k in forests.parent_line[:, f] if k >= 0]
         assert sum(1 for k in forests.parent_line[:, f] if k < 0) == len(net.substations)
         assert is_spanning_forest(net, {l.id for l in lines})
         out.append(frozenset(l.id for l in lines if l.flexible))
+        known = {b: (0, s) for b, s in subs.items()}
+        for b in range(net.n_buses):
+            path = []
+            while b not in known:
+                path.append(b)
+                line = net.lines[forests.parent_line[b, f]]
+                assert b in (line.from_bus, line.to_bus)
+                b = line.to_bus if line.from_bus == b else line.from_bus
+            depth, label = known[b]
+            for bus in reversed(path):
+                depth += 1
+                known[bus] = (depth, label)
+        assert [known[b] for b in range(net.n_buses)] == list(
+            zip(forests.depth[:, f].tolist(), labels[:, f].tolist()))
+    columns = {tuple(col) for col in forests.assignments.T.tolist()}
+    assert len(columns) == forests.assignments.shape[1]
+    assert set(forests.assignment.tolist()) == set(range(len(columns)))
     return out
 
 
@@ -412,8 +444,16 @@ class TestForestSet:
                    [_line("a", 0, 1, flexible=False),
                     _line("b", 1, 2, flexible=False)])
         forests = self.check(net, 1)
-        assert forests.label.tolist() == [[0], [0], [0]]
+        assert forest_labels(forests).tolist() == [[0], [0], [0]]
         assert forests.depth.tolist() == [[0], [1], [2]]
+
+    def test_no_radial_topology_is_infeasible(self):
+        # bus 2 has no line at all
+        net = _net([_bus(0, True), _bus(1), _bus(2)],
+                   [_line("a", 0, 1), _line("b", 0, 1)])
+        assert _radial_forests(net).count == 0
+        with pytest.raises(InfeasibleHourError):
+            solve_hour(build_hour_model(net, [0.1, 1.0, 1.0], [10.0]))
 
     def test_many_topologies_go_to_branch_and_bound(self):
         net = grid_net()
@@ -474,6 +514,70 @@ class TestForestSet:
         net = two_sub_net(rating_a=8.0 - 1.5e-6)
         sol = solve_hour(build_hour_model(net, two_sub_loads(8.0), [10.0, 20.0]))
         assert sol.statuses == {"s1-b": 0, "s2-b": 1}
+
+
+class TestLazyRelaxation:
+    """The hour's LP is built only when the branch and bound reads it."""
+
+    def test_enumerated_hour_builds_no_relaxation(self):
+        model = build_hour_model(two_sub_net(), two_sub_loads(), [10.0, 20.0])
+        solve_hour(model)
+        assert "_relaxation" not in vars(model)
+
+    def test_branch_and_bound_builds_the_same_relaxation(self):
+        # the grid is above the cap, so solve_hour runs the branch and
+        # bound; the digest pins the program as built before it was lazy
+        model = build_hour_model(grid_net(), np.full(20, 0.01), [10.0, 10.0])
+        assert "_relaxation" not in vars(model)
+        assert solve_hour(model).stats.relaxations == 1
+        assert "_relaxation" in vars(model)
+        lp, ix = model.lp, model.index
+        assert (lp.num_vars, lp.num_rows) == (64, 83)
+        doc = repr((lp.objective, lp.lower, lp.upper, lp.rows, lp.senses, lp.rhs,
+                    sorted(ix.sub_col.items()), sorted(ix.flow_col.items()),
+                    sorted(ix.j_col.items())))
+        assert hashlib.sha256(doc.encode()).hexdigest() == (
+            "233d2035ed49c82c51665a4b36f98dd8c04eac97e1a66810731aa9a9ae241cd3")
+
+
+class TestSubstationCapacityScreen:
+    """Whole assignments are dropped when a substation would send out more
+    than its lines' ratings; each case must agree with brute force."""
+
+    def agree(self, net, loads, prices):
+        loads = apply_epsilon_loads(loads)
+        sol = solve_hour(build_hour_model(net, loads, prices))
+        assert sol.cost == pytest.approx(
+            enumerate_hour(net, loads, prices).cost, rel=1e-12)
+        return sol
+
+    def test_substation_bus_with_its_own_load(self):
+        # substation 0 serves 5 MW at its own bus and 8 MW through a line
+        # rated 8 MW: counting its own load against the line would drop it
+        net = two_sub_net(rating_a=8.0)
+        sol = self.agree(net, [5.0, 0.0, 8.0], [10.0, 20.0])
+        assert sol.statuses == {"s1-b": 1, "s2-b": 0}
+
+    @pytest.mark.parametrize("over", [0.0, 9e-7])
+    def test_forest_exactly_at_capacity(self, over):
+        # substation 0 sends 3 + 5 MW over two lines rated 3 and 5 MW, and
+        # then 0.9e-6 MW more, within exact physics' 1e-6 MW tolerance
+        net = _net([_bus(0, True), _bus(1, True), _bus(2), _bus(3)],
+                   [_line("a2", 0, 2, rating=3.0), _line("a3", 0, 3, rating=5.0),
+                    _line("b2", 1, 2), _line("b3", 1, 3)])
+        sol = self.agree(net, [0.0, 0.0, 3.0, 5.0 + over], [10.0, 20.0])
+        assert sol.statuses == {"a2": 1, "a3": 1, "b2": 0, "b3": 0}
+
+    def test_line_joining_two_substations(self):
+        # the tie between the substations can never close, yet its rating
+        # counts toward both capacities; the overloaded cheap side still loses
+        net = _net([_bus(0, True), _bus(1, True), _bus(2)],
+                   [_line("tie", 0, 1, rating=100.0),
+                    _line("s1-b", 0, 2, rating=8.0), _line("s2-b", 1, 2)])
+        sol = self.agree(net, [0.0, 0.0, 9.0], [10.0, 20.0])
+        assert sol.statuses == {"tie": 0, "s1-b": 0, "s2-b": 1}
+        sol = self.agree(net, [0.0, 0.0, 7.0], [10.0, 20.0])
+        assert sol.statuses == {"tie": 0, "s1-b": 1, "s2-b": 0}
 
 
 class TestEvaluateTopology:
