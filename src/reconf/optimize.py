@@ -399,9 +399,10 @@ _ENUMERATION_BYTES = 256 * 2**20
 # forests screened per vectorized batch while walking the ranked order
 _SCREEN_CHUNK = 256
 
-# the screen only discards forests that evaluate_topology would reject:
-# these tolerances are looser than its 1e-6 MW rating and 1e-9 rad angle
-# slack by far more than the round-off between the two flow computations
+# the screen and the substation capacity pre-screen only discard forests
+# that evaluate_topology would reject: these tolerances are looser than
+# its 1e-6 MW rating and 1e-9 rad angle slack by far more than the
+# round-off between the two flow computations
 _SCREEN_RATING_TOL = 2e-6
 _SCREEN_ANGLE_TOL = 1e-8
 
