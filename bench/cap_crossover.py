@@ -9,12 +9,15 @@ the script lists the forest set once and solves hours 8, 15 and 20 both
 ways, ignoring _ENUMERATION_CAP and _ENUMERATION_BYTES:
 
     PYTHONPATH=src python3 bench/cap_crossover.py [VARIANT ...] [--hours 8,15,20]
-        [--no-bb VARIANT,...] [--out FILE]
+        [--no-bb VARIANT,...] [--no-enum VARIANT,...] [--out FILE]
 
 It prints one JSON record per variant: buses, lines, forest count, the
 listing time and its traced peak, the byte estimate that solve_hour
 compares with _ENUMERATION_BYTES, and per hour the enumeration and
 branch-and-bound times, nodes and costs (which must agree to 1e-9).
+The default run covers every variant but c4+ties_abc and c4+ties_abcd,
+whose listings take about 263 MiB and 1 GiB; --no-enum times a variant
+by the branch and bound alone, without listing it.
 
     PYTHONPATH=src python3 bench/cap_crossover.py VARIANT --peak enum|bb
 
@@ -49,10 +52,15 @@ VARIANTS = {
     "c4+tie_c": ((((1, 11), (2, 9)),), 13, 0),
     "c4+tie_d": ((((0, 11), (1, 11)),), 13, 0),
     "c4+ties_ac": ((((0, 3), (1, 3)), ((1, 11), (2, 9))), 13, 0),
+    "c4+ties_abc": ((((0, 3), (1, 3)), ((0, 7), (2, 7)), ((1, 11), (2, 9))),
+                    13, 0),
+    "c4+ties_abcd": ((((0, 3), (1, 3)), ((0, 7), (2, 7)), ((1, 11), (2, 9)),
+                      ((0, 11), (1, 11))), 13, 0),
     "c4-feeders40": ((), 40, 0),
     "c4-feeders100": ((), 100, 0),
     "c4-feeders170": ((), 170, 0),
 }
+DEFAULT = [name for name in VARIANTS if name not in ("c4+ties_abc", "c4+ties_abcd")]
 
 
 def variant(extra, size, fixed) -> opt.DayProblem:
@@ -76,43 +84,48 @@ def variant(extra, size, fixed) -> opt.DayProblem:
     return opt.DayProblem(net, problem.loads, problem.prices)
 
 
-def measure(name: str, hours, with_bb: bool) -> dict:
+def measure(name: str, hours, with_bb: bool, with_enum: bool) -> dict:
     problem = variant(*VARIANTS[name])
     net = problem.net
     opt._ENUMERATION_CAP = float("inf")
     opt._ENUMERATION_BYTES = float("inf")
-    start = time.perf_counter()
-    forests = opt._radial_forests(net)
-    list_s = time.perf_counter() - start
-    del forests
-    tracemalloc.start()
-    forests = opt._radial_forests(net)
-    list_peak = tracemalloc.get_traced_memory()[1]
-    tracemalloc.stop()
-    _n_nodes, edges = opt._contracted_edges(net)
+    n_nodes, edges = opt._contracted_edges(net)
+    count = opt._spanning_tree_count(n_nodes, edges)
     out = {"variant": name, "buses": net.n_buses, "lines": len(net.lines),
-           "forests": forests.count, "list_s": round(list_s, 3),
-           "list_peak_mb": round(list_peak / 2**20, 1),
-           "estimate_mb": round(opt._forest_bytes(net, edges, forests.count)
-                                / 2**20, 1),
+           "forests": count,
+           "estimate_mb": round(opt._forest_bytes(net, edges, count) / 2**20, 1),
            "hours": []}
+    if with_enum:
+        start = time.perf_counter()
+        forests = opt._radial_forests(net)
+        list_s = time.perf_counter() - start
+        del forests
+        tracemalloc.start()
+        forests = opt._radial_forests(net)
+        list_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        out.update(list_s=round(list_s, 3),
+                   list_peak_mb=round(list_peak / 2**20, 1))
     for hour in hours:
         model = opt.build_hour_model(
             net, opt.apply_epsilon_loads(problem.loads[hour - 1]),
             problem.prices[hour - 1])
-        start = time.perf_counter()
-        ranked = opt.solve_hour(model, forests=forests)
-        record = {"hour": hour, "enum_s": round(time.perf_counter() - start, 3),
-                  "cost": ranked.cost}
+        record = {"hour": hour}
+        if with_enum:
+            start = time.perf_counter()
+            ranked = opt.solve_hour(model, forests=forests)
+            record.update(enum_s=round(time.perf_counter() - start, 3),
+                          cost=ranked.cost)
         if with_bb:
             start = time.perf_counter()
-            sols, stats = opt._solve_milp(opt._milp_from_hour(model),
-                                          opt.SolverOptions())
+            sol, stats = opt._solve_milp(model, opt.SolverOptions())
             record.update(bb_s=round(time.perf_counter() - start, 3),
                           bb_nodes=stats.nodes)
-            if abs(sols[0].cost - ranked.cost) > 1e-9 * abs(ranked.cost):
+            if not with_enum:
+                record.update(cost=sol.cost)
+            elif abs(sol.cost - ranked.cost) > 1e-9 * abs(ranked.cost):
                 raise SystemExit(f"{name} hour {hour}: costs differ "
-                                 f"{sols[0].cost} vs {ranked.cost}")
+                                 f"{sol.cost} vs {ranked.cost}")
         out["hours"].append(record)
     return out
 
@@ -129,7 +142,7 @@ def peak(name: str, hour: int, path: str) -> dict:
     if path == "enum":
         cost = opt.solve_hour(model).cost
     else:
-        cost = opt._solve_milp(opt._milp_from_hour(model), opt.SolverOptions())[0][0].cost
+        cost = opt._solve_milp(model, opt.SolverOptions())[0].cost
     return {"variant": name, "hour": hour, "path": path,
             "s": round(time.perf_counter() - start, 3), "cost": cost,
             "rss_before_mb": round(before, 1),
@@ -139,21 +152,25 @@ def peak(name: str, hour: int, path: str) -> dict:
 
 def main(argv=None) -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("variants", nargs="*", default=list(VARIANTS))
+    parser.add_argument("variants", nargs="*", default=DEFAULT)
     parser.add_argument("--hours", default="8,15,20")
     parser.add_argument("--no-bb", default="",
                         help="comma-separated variants to time by enumeration only")
+    parser.add_argument("--no-enum", default="",
+                        help="comma-separated variants to time by branch and bound only")
     parser.add_argument("--peak", choices=("enum", "bb"))
     parser.add_argument("--out", help="also write the records to this JSON file")
     args = parser.parse_args(argv)
     hours = [int(h) for h in args.hours.split(",")]
     skip = set(filter(None, args.no_bb.split(",")))
+    bb_only = set(filter(None, args.no_enum.split(",")))
     records = []
     for name in args.variants:
         if args.peak:
             records.append(peak(name, hours[0], args.peak))
         else:
-            records.append(measure(name, hours, name not in skip))
+            records.append(measure(name, hours, name not in skip,
+                                   name not in bb_only))
         print(json.dumps(records[-1]), flush=True)
     if args.out:
         with open(args.out, "w") as fh:

@@ -645,90 +645,19 @@ class PreparedLp:
         return out, self._snapshot(tab, [])
 
 
-def split_blocks(lp: LinearProgram) -> list[tuple[list[int], list[int]]]:
-    """Partition variables and rows into independent blocks.
-
-    Two variables belong together when some row touches both. Variables in
-    no row form their own single-variable blocks. Blocks come back sorted
-    by their lowest variable index.
-    """
-    from .model import DisjointSet
-
-    n = lp.num_vars
-    dsu = DisjointSet(n)
-    for row in lp.rows:
-        cols = [c for c, _ in row]
-        for other in cols[1:]:
-            dsu.unite(cols[0], other)
-    groups: dict[int, list[int]] = {}
-    for j in range(n):
-        groups.setdefault(dsu.find(j), []).append(j)
-    row_of: dict[int, list[int]] = {}
-    for i, row in enumerate(lp.rows):
-        if row:
-            row_of.setdefault(dsu.find(row[0][0]), []).append(i)
-        else:
-            row_of.setdefault(-1 - i, []).append(i)  # empty row: own block
-    blocks = []
-    for root, cols in groups.items():
-        blocks.append((sorted(cols), sorted(row_of.get(root, []))))
-    for root, rows in row_of.items():
-        if root < 0:
-            blocks.append(([], rows))
-    blocks.sort(key=lambda blk: blk[0][0] if blk[0] else lp.num_vars + blk[1][0])
-    return blocks
-
-
 class BlockSolver:
-    """Solves a program block by block.
+    """The branch and bound's LP engine: one PreparedLp per program.
 
-    Built once per program; solve() accepts per-variable bounds overrides.
-    Results are identical to solve_lp on the whole program, and
-    solve_with_basis() reuses a previous solution's bases so that revised
-    bounds cost only a short dual-simplex repair per block.
+    Built once per program; solve_with_basis() solves under per-variable
+    bounds overrides and returns the outcome with its BasisSnapshot (None
+    unless optimal), which a later call takes as warm to revise bounds
+    with a short dual-simplex repair. perfbench's tracer wraps these two
+    methods as the prepare and relax layers.
     """
 
     def __init__(self, lp: LinearProgram):
-        self.lp = lp
-        self.blocks = split_blocks(lp)
-        self.sub_lps: list[LinearProgram] = []
-        self.local_index: list[dict[int, int]] = []
-        for cols, rows in self.blocks:
-            mapping = {g: l for l, g in enumerate(cols)}
-            sub = LinearProgram(
-                objective=[lp.objective[g] for g in cols],
-                lower=[lp.lower[g] for g in cols],
-                upper=[lp.upper[g] for g in cols],
-            )
-            for i in rows:
-                sub.add_row(lp.senses[i], lp.rhs[i],
-                            [(mapping[c], v) for c, v in lp.rows[i]])
-            self.sub_lps.append(sub)
-            self.local_index.append(mapping)
-        self.engines = [PreparedLp(sub) for sub in self.sub_lps]
+        self.engine = PreparedLp(lp)
 
-    def solve(self, bounds=None) -> LpOutcome:
-        return self.solve_with_basis(bounds)[0]
-
-    def solve_with_basis(self, bounds=None, warm: tuple | None = None
-                         ) -> tuple[LpOutcome, tuple | None]:
-        """Solve and also return per-block basis snapshots for reuse.
-
-        warm is a snapshot tuple from an earlier call; each block starts
-        from its own snapshot in it.
-        """
-        bounds = bounds or {}
-        values = np.zeros(self.lp.num_vars)
-        total = 0.0
-        snaps = []
-        for bi, (cols, _rows) in enumerate(self.blocks):
-            mapping = self.local_index[bi]
-            local = {mapping[g]: bnd for g, bnd in bounds.items() if g in mapping}
-            outcome, snap = self.engines[bi].solve(
-                local, warm[bi] if warm is not None else None)
-            if outcome.status != OPTIMAL:
-                return LpOutcome(outcome.status), None
-            total += outcome.objective
-            values[cols] = outcome.values
-            snaps.append(snap)
-        return LpOutcome(OPTIMAL, total, values), tuple(snaps)
+    def solve_with_basis(self, bounds=None, warm: BasisSnapshot | None = None
+                         ) -> tuple[LpOutcome, BasisSnapshot | None]:
+        return self.engine.solve(bounds, warm)

@@ -21,15 +21,14 @@ candidate with exact physics; the relaxation is built, and the LP
 engine imported, only then.
 
 enumerate_hour tries every closed set of the right size and serves as an
-independent check on small instances. solve_day chains the hourly solves
-(optionally in parallel) and a monolithic full-horizon build exists to
-test that the branch and bound's decomposition is exact.
+independent check on small instances. solve_day chains the hourly solves,
+optionally in parallel.
 """
 
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from functools import cached_property
 from itertools import combinations
 from math import prod
@@ -91,16 +90,15 @@ class ModelOptions:
 
 @dataclass(frozen=True)
 class SolverOptions:
-    """Search parameters for the branch and bound."""
+    """Search parameters for the branch and bound: the relative optimality
+    gap and the node budget. An enumerated hour uses neither."""
 
     gap: float = 1e-6
-    int_tol: float = 1e-6
     max_nodes: int = 100_000
-    warm_start: bool = True
 
     def __post_init__(self):
-        if self.gap <= 0 or self.int_tol <= 0:
-            raise ValueError("gap and int_tol must be positive")
+        if self.gap <= 0:
+            raise ValueError("gap must be positive")
         if self.max_nodes < 1:
             raise ValueError("max_nodes must be at least 1")
 
@@ -292,34 +290,6 @@ def build_hour_model(net: Network, loads_t, prices_t,
             f"expected {len(net.substations)} prices, got {prices_t.shape}")
     k_star = required_closed_flexible_count(net)
     return HourModel(k_star, net, loads_t, prices_t, opts)
-
-
-@dataclass(frozen=True)
-class DayModel:
-    """All hours concatenated in one LinearProgram (testing aid)."""
-
-    lp: LinearProgram
-    indexes: tuple[_HourIndex, ...]
-    k_star: int
-    net: Network
-    loads: np.ndarray
-    prices: np.ndarray
-    opts: ModelOptions
-
-
-def build_day_model(problem: DayProblem,
-                    opts: ModelOptions | None = None) -> DayModel:
-    """Build the whole horizon as one program; hours share no columns."""
-    from .lp import LinearProgram
-    opts = opts or ModelOptions()
-    k_star = required_closed_flexible_count(problem.net)
-    lp = LinearProgram()
-    indexes = []
-    for t in range(problem.horizon):
-        loads_t = apply_epsilon_loads(problem.loads[t], opts.epsilon)
-        indexes.append(_add_hour(lp, problem.net, loads_t, problem.prices[t]))
-    return DayModel(lp, tuple(indexes), k_star, problem.net,
-                    problem.loads, problem.prices, opts)
 
 
 def evaluate_topology(net: Network, closed_flexible, loads, prices_t,
@@ -858,33 +828,25 @@ def _solve_by_enumeration(model: HourModel, forests: _Forests) -> HourSolution:
 # branch and bound over line statuses
 
 
-@dataclass(frozen=True)
-class _Group:
-    """One hour's binary block: its J columns, quota, and data."""
-
-    j_col: dict[str, int]
-    k_star: int
-    loads: np.ndarray
-    prices: np.ndarray
+# statuses within this of 0 or 1 count as integral
+_INT_TOL = 1e-6
 
 
-@dataclass
 class _Milp:
-    lp: LinearProgram
-    net: Network
-    opts: ModelOptions
-    groups: list[_Group]
-    base_dsu: DisjointSet = field(init=False)
-    root: int = field(init=False)
-    contract: list[int] = field(init=False)
+    """One hour's search data: the model, its status columns j_col, and
+    the contraction that merges the substations into root (bus b maps to
+    contract[b]) with the always-closed lines already joined in base_dsu."""
 
-    def __post_init__(self):
-        n = self.net.n_buses
-        self.root = n
-        self.base_dsu = _base_contraction(self.net)
-        subs = set(self.net.substations)
-        self.contract = [self.root if b in subs else b for b in range(n)]
-        self.contract.append(self.root)
+    def __init__(self, model: HourModel):
+        net = model.net
+        self.model = model
+        self.net = net
+        self.j_col = model.index.j_col
+        self.root = net.n_buses
+        self.base_dsu = _base_contraction(net)
+        subs = set(net.substations)
+        self.contract = [self.root if b in subs else b
+                         for b in range(net.n_buses)] + [self.root]
 
 
 def _bridges(n_nodes: int, edges: list[tuple[int, int]]) -> set[int]:
@@ -929,158 +891,149 @@ def _bridges(n_nodes: int, edges: list[tuple[int, int]]) -> set[int]:
 def _propagate(milp: _Milp, fixed: dict[int, int]) -> dict[int, int] | None:
     """Close out forced statuses; None when the fixings are contradictory.
 
-    Per hour: respect the closed-count quota, reject cycles and
+    Respect the closed-count quota, reject cycles and
     substation-substation paths among closed lines, force lines whose
     closure is the only way to reach some bus (bridges of the not-open
     graph), and discard lines that could only ever close a loop.
     """
-    net, c = milp.net, milp.contract
+    net, c, j_col = milp.net, milp.contract, milp.j_col
+    k_star = milp.model.k_star
     lines = net.lines_by_id
     fixed = dict(fixed)
     changed = True
     while changed:
         changed = False
-        for group in milp.groups:
-            closed = [lid for lid, col in group.j_col.items() if fixed.get(col) == 1]
-            opened = {lid for lid, col in group.j_col.items() if fixed.get(col) == 0}
-            undecided = [lid for lid, col in group.j_col.items()
-                         if col not in fixed]
-            if len(closed) > group.k_star:
-                return None
-            if len(closed) + len(undecided) < group.k_star:
+        closed = [lid for lid, col in j_col.items() if fixed.get(col) == 1]
+        opened = {lid for lid, col in j_col.items() if fixed.get(col) == 0}
+        undecided = [lid for lid, col in j_col.items() if col not in fixed]
+        if len(closed) > k_star:
+            return None
+        if len(closed) + len(undecided) < k_star:
+            return None
+
+        dsu = milp.base_dsu.copy()
+        for lid in closed:
+            line = lines[lid]
+            if not dsu.unite(c[line.from_bus], c[line.to_bus]):
                 return None
 
-            dsu = milp.base_dsu.copy()
-            for lid in closed:
+        # a line whose ends are already connected could only close a loop
+        still = []
+        for lid in undecided:
+            line = lines[lid]
+            if dsu.joined(c[line.from_bus], c[line.to_bus]):
+                fixed[j_col[lid]] = 0
+                opened.add(lid)
+                changed = True
+            else:
+                still.append(lid)
+        undecided = still
+        if len(closed) + len(undecided) < k_star:
+            return None
+
+        if len(closed) == k_star:
+            for lid in undecided:
+                fixed[j_col[lid]] = 0
+            changed = bool(undecided) or changed
+            continue
+        if len(closed) + len(undecided) == k_star:
+            for lid in undecided:
                 line = lines[lid]
                 if not dsu.unite(c[line.from_bus], c[line.to_bus]):
                     return None
+                fixed[j_col[lid]] = 1
+            changed = bool(undecided) or changed
+            continue
 
-            # a line whose ends are already connected could only close a loop
-            still = []
-            for lid in undecided:
-                line = lines[lid]
-                if dsu.joined(c[line.from_bus], c[line.to_bus]):
-                    fixed[group.j_col[lid]] = 0
-                    opened.add(lid)
-                    changed = True
-                else:
-                    still.append(lid)
-            undecided = still
-            if len(closed) + len(undecided) < group.k_star:
-                return None
+        # every bus must still be reachable without the opened lines
+        reach = dsu.copy()
+        for lid in undecided:
+            line = lines[lid]
+            reach.unite(c[line.from_bus], c[line.to_bus])
+        if any(not reach.joined(b, milp.root) for b in range(net.n_buses)):
+            return None
 
-            if len(closed) == group.k_star:
-                for lid in undecided:
-                    fixed[group.j_col[lid]] = 0
-                changed = bool(undecided) or changed
+        # a bridge of the not-open graph is the sole path somewhere
+        und_set = set(undecided)
+        edges = []
+        tags: list[str | None] = []
+        for line in net.lines:
+            if line.flexible and (line.id in opened):
                 continue
-            if len(closed) + len(undecided) == group.k_star:
-                for lid in undecided:
-                    line = lines[lid]
-                    if not dsu.unite(c[line.from_bus], c[line.to_bus]):
-                        return None
-                    fixed[group.j_col[lid]] = 1
-                changed = bool(undecided) or changed
-                continue
-
-            # every bus must still be reachable without the opened lines
-            reach = dsu.copy()
-            for lid in undecided:
-                line = lines[lid]
-                reach.unite(c[line.from_bus], c[line.to_bus])
-            if any(not reach.joined(b, milp.root) for b in range(net.n_buses)):
-                return None
-
-            # a bridge of the not-open graph is the sole path somewhere
-            und_set = set(undecided)
-            edges = []
-            tags: list[str | None] = []
-            for line in net.lines:
-                if line.flexible and (line.id in opened):
-                    continue
-                edges.append((c[line.from_bus], c[line.to_bus]))
-                tags.append(line.id if line.id in und_set else None)
-            for idx in _bridges(net.n_buses + 1, edges):
-                lid = tags[idx]
-                if lid is not None:
-                    fixed[group.j_col[lid]] = 1
-                    changed = True
+            edges.append((c[line.from_bus], c[line.to_bus]))
+            tags.append(line.id if line.id in und_set else None)
+        for idx in _bridges(net.n_buses + 1, edges):
+            lid = tags[idx]
+            if lid is not None:
+                fixed[j_col[lid]] = 1
+                changed = True
     return fixed
 
 
-def _greedy_closed(milp: _Milp, group: _Group, order: list[str]) -> frozenset[str] | None:
+def _greedy_closed(milp: _Milp, order: list[str]) -> frozenset[str] | None:
     """First spanning forest found by closing lines in the given order."""
     lines = milp.net.lines_by_id
+    k_star = milp.model.k_star
     dsu = milp.base_dsu.copy()
     closed = set()
     for lid in order:
-        if len(closed) == group.k_star:
+        if len(closed) == k_star:
             break
         line = lines[lid]
         if dsu.unite(milp.contract[line.from_bus], milp.contract[line.to_bus]):
             closed.add(lid)
-    return frozenset(closed) if len(closed) == group.k_star else None
+    return frozenset(closed) if len(closed) == k_star else None
 
 
-def _candidate_solution(milp: _Milp, closed_per_group) -> tuple[float, list[HourSolution]] | None:
-    """Exact-physics evaluation of a full assignment across all hours."""
-    hours = []
-    total = 0.0
-    for group, closed in zip(milp.groups, closed_per_group):
-        if closed is None:
-            return None
-        sol = evaluate_topology(milp.net, closed, group.loads, group.prices, milp.opts)
-        if sol is None:
-            return None
-        hours.append(sol)
-        total += sol.cost
-    return total, hours
+def _candidate_solution(milp: _Milp, closed) -> HourSolution | None:
+    """Exact-physics evaluation of a closed set (None: not a candidate)."""
+    if closed is None:
+        return None
+    model = milp.model
+    return evaluate_topology(milp.net, closed, model.loads, model.prices,
+                             model.opts)
 
 
-def _polish(milp: _Milp, closed_per_group, hours):
-    """Greedy single-swap descent on each group's closed set."""
-    best_closed = list(closed_per_group)
-    best_hours = list(hours)
-    for gi, group in enumerate(milp.groups):
-        flex = sorted(group.j_col)
-        closed = set(best_closed[gi])
-        cost = best_hours[gi].cost
-        improved = True
-        while improved:
-            improved = False
-            for out_id in sorted(closed):
-                for in_id in flex:
-                    if in_id in closed:
-                        continue
-                    cand = frozenset((closed - {out_id}) | {in_id})
-                    sol = evaluate_topology(milp.net, cand, group.loads,
-                                            group.prices, milp.opts)
-                    if sol is not None and sol.cost < cost - 1e-12:
-                        closed, cost = set(cand), sol.cost
-                        best_hours[gi] = sol
-                        improved = True
-                        break
-                if improved:
+def _polish(milp: _Milp, closed, sol: HourSolution) -> HourSolution:
+    """Greedy single-swap descent from the closed set whose physics is sol."""
+    model = milp.model
+    flex = sorted(milp.j_col)
+    closed = set(closed)
+    improved = True
+    while improved:
+        improved = False
+        for out_id in sorted(closed):
+            for in_id in flex:
+                if in_id in closed:
+                    continue
+                cand = frozenset((closed - {out_id}) | {in_id})
+                swapped = evaluate_topology(milp.net, cand, model.loads,
+                                            model.prices, model.opts)
+                if swapped is not None and swapped.cost < sol.cost - 1e-12:
+                    closed, sol = set(cand), swapped
+                    improved = True
                     break
-        best_closed[gi] = frozenset(closed)
-    total = float(sum(h.cost for h in best_hours))
-    return total, best_hours, best_closed
+            if improved:
+                break
+    return sol
 
 
-def _solve_milp(milp: _Milp, opts: SolverOptions,
-                seeds=()) -> tuple[list[HourSolution], SolveStats]:
-    """Best-bound branch and bound on the J columns of every group.
+def _solve_milp(model: HourModel, opts: SolverOptions,
+                seeds=()) -> tuple[HourSolution, SolveStats]:
+    """Best-bound branch and bound on the hour's J columns.
 
-    seeds are full closed-set assignments (one frozenset per group) tried
-    as incumbents before the search. Candidates found by the search are
-    always re-verified with exact flow physics before acceptance. Nodes
-    are evaluated lazily on pop, warm-starting each relaxation from the
-    parent's basis; fully-decided assignments skip the relaxation and go
-    straight to physics.
+    seeds are status dicts tried as incumbents before the search; those
+    that do not close exactly k_star of the hour's switchable lines are
+    skipped. Candidates found by the search are always re-verified with
+    exact flow physics before acceptance. Nodes are evaluated lazily on
+    pop, warm-starting each relaxation from the parent's basis;
+    fully-decided assignments skip the relaxation and go straight to
+    physics.
     """
     from .lp import OPTIMAL, BlockSolver
-    solver = BlockSolver(milp.lp)
+    milp = _Milp(model)
+    j_col = milp.j_col
+    solver = BlockSolver(model.lp)
     relaxations = 0
 
     def relax(fixed, warm=None):
@@ -1089,25 +1042,22 @@ def _solve_milp(milp: _Milp, opts: SolverOptions,
         overrides = {col: (float(v), float(v)) for col, v in fixed.items()}
         return solver.solve_with_basis(overrides, warm)
 
-    incumbent: list[HourSolution] | None = None
+    incumbent: HourSolution | None = None
     inc_cost = np.inf
     updates = 0
-    n_j_total = sum(len(g.j_col) for g in milp.groups)
 
-    def offer(closed_per_group, polish=False) -> None:
+    def offer(closed, polish=False) -> None:
         nonlocal incumbent, inc_cost, updates
-        got = _candidate_solution(milp, closed_per_group)
-        if got is None or got[0] >= inc_cost:
+        sol = _candidate_solution(milp, closed)
+        if sol is None or sol.cost >= inc_cost:
             return
-        total, hours = got
         if polish:
-            total, hours, _closed = _polish(milp, closed_per_group, hours)
-        inc_cost, incumbent = total, hours
+            sol = _polish(milp, closed, sol)
+        inc_cost, incumbent = sol.cost, sol
         updates += 1
 
     def offer_fixed(fixed) -> None:
-        offer([frozenset(lid for lid, col in g.j_col.items()
-                         if fixed.get(col) == 1) for g in milp.groups],
+        offer(frozenset(lid for lid, col in j_col.items() if fixed.get(col) == 1),
               polish=True)
 
     def finish(best_bound: float):
@@ -1119,34 +1069,33 @@ def _solve_milp(milp: _Milp, opts: SolverOptions,
         return incumbent, stats
 
     nodes = 0
-    for seed in seeds:
-        offer(seed)
-    id_order = [sorted(g.j_col) for g in milp.groups]
-    offer([_greedy_closed(milp, g, order)
-           for g, order in zip(milp.groups, id_order)])
+    for statuses in seeds:
+        closed = frozenset(lid for lid, on in statuses.items() if on)
+        if closed <= set(j_col) and len(closed) == model.k_star:
+            offer(closed)
+    id_order = sorted(j_col)
+    offer(_greedy_closed(milp, id_order))
 
     root_fixed = _propagate(milp, {})
     if root_fixed is None:
         raise InfeasibleHourError("no feasible radial topology")
-    if len(root_fixed) == n_j_total:
+    if len(root_fixed) == len(j_col):
         # propagation alone settles every switch
         offer_fixed(root_fixed)
         return finish(inc_cost)
 
-    root, root_snaps = relax(root_fixed)
+    root, root_snap = relax(root_fixed)
     if root.status != OPTIMAL:
         raise InfeasibleHourError("no feasible radial topology")
     root_bound = root.objective
 
     # round the root relaxation: close lines by descending fractional value
-    offer([_greedy_closed(milp, g, sorted(g.j_col,
-                                          key=lambda lid: (-root.values[g.j_col[lid]], lid)))
-           for g in milp.groups])
+    offer(_greedy_closed(milp, sorted(
+        j_col, key=lambda lid: (-root.values[j_col[lid]], lid))))
     if incumbent is not None:
-        total, hours, _closed = _polish(
-            milp, [frozenset(h.closed_flexible()) for h in incumbent], incumbent)
-        if total < inc_cost:
-            inc_cost, incumbent = total, hours
+        polished = _polish(milp, incumbent.closed_flexible(), incumbent)
+        if polished.cost < inc_cost:
+            inc_cost, incumbent = polished.cost, polished
             updates += 1
 
     def gap_slack() -> float:
@@ -1157,12 +1106,7 @@ def _solve_milp(milp: _Milp, opts: SolverOptions,
             return False
         return inc_cost - bound <= gap_slack()
 
-    col_of = {}
-    for bi, mapping in enumerate(solver.local_index):
-        for g_col, l_col in mapping.items():
-            col_of[g_col] = (bi, l_col)
-
-    def rc_fix(fixed, bound, snaps):
+    def rc_fix(fixed, bound, snap):
         """Fix switches whose flip is already priced out of the gap.
 
         The relaxation's reduced costs bound the objective increase of
@@ -1172,40 +1116,34 @@ def _solve_milp(milp: _Milp, opts: SolverOptions,
         augmented and propagated) assignment, or None when propagation
         proves the subtree empty of improvements.
         """
-        if incumbent is None or snaps is None:
+        if incumbent is None or snap is None:
             return fixed
-        rates = [snap.bound_rates() if snap is not None else None
-                 for snap in snaps]
+        up, down = snap.bound_rates()
         cutoff = inc_cost - gap_slack()
         fixes = {}
-        for g in milp.groups:
-            for col in g.j_col.values():
-                if col in fixed:
-                    continue
-                bi, l_col = col_of[col]
-                if rates[bi] is None:
-                    continue
-                up, down = rates[bi]
-                if up[l_col] > 0.0 and bound + up[l_col] >= cutoff:
-                    fixes[col] = 0
-                elif down[l_col] > 0.0 and bound + down[l_col] >= cutoff:
-                    fixes[col] = 1
+        for col in j_col.values():
+            if col in fixed:
+                continue
+            if up[col] > 0.0 and bound + up[col] >= cutoff:
+                fixes[col] = 0
+            elif down[col] > 0.0 and bound + down[col] >= cutoff:
+                fixes[col] = 1
         if not fixes:
             return fixed
         return _propagate(milp, {**fixed, **fixes})
 
-    tightened = rc_fix(root_fixed, root_bound, root_snaps)
+    tightened = rc_fix(root_fixed, root_bound, root_snap)
     if tightened is None:
         return finish(inc_cost)  # nothing better exists
     if len(tightened) > len(root_fixed):
         root_fixed = tightened
-        if len(root_fixed) == n_j_total:
+        if len(root_fixed) == len(j_col):
             offer_fixed(root_fixed)
             return finish(inc_cost)
-        root, new_snaps = relax(root_fixed, root_snaps)
+        root, new_snap = relax(root_fixed, root_snap)
         if root.status != OPTIMAL:
             return finish(inc_cost)
-        root_snaps = new_snaps
+        root_snap = new_snap
         root_bound = max(root_bound, root.objective)
 
     # pseudo-costs: observed bound growth per unit of rounding, kept per
@@ -1224,11 +1162,11 @@ def _solve_milp(milp: _Milp, opts: SolverOptions,
             return fallback
         return cell[0] / cell[1]
 
-    heap = [(root_bound, 0, root_fixed, (root.values, root_snaps, True, None))]
+    heap = [(root_bound, 0, root_fixed, (root.values, root_snap, True, None))]
     seq = 1
     best_bound = root_bound
     while heap:
-        key, _, fixed, (values, snaps, solved, binfo) = heapq.heappop(heap)
+        key, _, fixed, (values, snap, solved, binfo) = heapq.heappop(heap)
         best_bound = key
         if gap_closed(key):
             best_bound = inc_cost
@@ -1238,7 +1176,7 @@ def _solve_milp(milp: _Milp, opts: SolverOptions,
                 raise NodeLimitError(
                     f"node limit {opts.max_nodes} reached with gap still open")
             nodes += 1
-            out, new_snaps = relax(fixed, snaps)
+            out, new_snap = relax(fixed, snap)
             if binfo is not None and out.status == OPTIMAL:
                 b_col, b_val, b_delta = binfo
                 pc_update(b_col, b_val, b_delta, max(0.0, out.objective - key))
@@ -1250,15 +1188,15 @@ def _solve_milp(milp: _Milp, opts: SolverOptions,
             if heap and bound > heap[0][0] + 1e-12:
                 # no longer the best node; requeue at its true bound
                 heapq.heappush(heap, (bound, seq, fixed,
-                                      (out.values, new_snaps, True, None)))
+                                      (out.values, new_snap, True, None)))
                 seq += 1
                 continue
-            values, snaps = out.values, new_snaps
+            values, snap = out.values, new_snap
             key = bound
-            tightened = rc_fix(fixed, bound, snaps)
+            tightened = rc_fix(fixed, bound, snap)
             if tightened is None:
                 continue
-            if len(tightened) == n_j_total:
+            if len(tightened) == len(j_col):
                 offer_fixed(tightened)
                 continue
             fixed = tightened
@@ -1269,35 +1207,30 @@ def _solve_milp(milp: _Milp, opts: SolverOptions,
         best_score = -1.0
         fallback_col = -1
         integral = True
-        for g, order in zip(milp.groups, id_order):
-            for lid in order:
-                col = g.j_col[lid]
-                if col in fixed:
-                    continue
-                if fallback_col < 0:
-                    fallback_col = col
-                f = float(values[col])
-                if min(f, 1.0 - f) <= opts.int_tol:
-                    continue
-                integral = False
-                score = (max(pc_rate(col, 1, avg_rate) * (1.0 - f), 1e-9)
-                         * max(pc_rate(col, 0, avg_rate) * f, 1e-9))
-                if score > best_score:
-                    best_score = score
-                    branch_col = col
-            if branch_col >= 0:
-                # groups are independent blocks: settling one before
-                # touching the next keeps the frontier from multiplying
-                break
+        for lid in id_order:
+            col = j_col[lid]
+            if col in fixed:
+                continue
+            if fallback_col < 0:
+                fallback_col = col
+            f = float(values[col])
+            if min(f, 1.0 - f) <= _INT_TOL:
+                continue
+            integral = False
+            score = (max(pc_rate(col, 1, avg_rate) * (1.0 - f), 1e-9)
+                     * max(pc_rate(col, 0, avg_rate) * f, 1e-9))
+            if score > best_score:
+                best_score = score
+                branch_col = col
         if integral:
             # the rounded candidate may still lose real flow to a tiny
             # status fraction on a high-rating line, or break an angle
             # bound the relaxation does not carry, so it only closes the
             # subtree when it attains the node bound within gap
-            offer([frozenset(
-                lid for lid, col in g.j_col.items()
-                if (fixed[col] == 1 if col in fixed else values[col] > 0.5))
-                for g in milp.groups], polish=True)
+            offer(frozenset(
+                lid for lid, col in j_col.items()
+                if (fixed[col] == 1 if col in fixed else values[col] > 0.5)),
+                polish=True)
             if gap_closed(key):
                 continue
             branch_col = fallback_col
@@ -1310,22 +1243,17 @@ def _solve_milp(milp: _Milp, opts: SolverOptions,
             child = _propagate(milp, child)
             if child is None:
                 continue
-            if len(child) == n_j_total:
+            if len(child) == len(j_col):
                 offer_fixed(child)  # fully decided: physics, not another LP
                 continue
             delta = 1.0 - f_branch if value == 1 else f_branch
             heapq.heappush(heap, (key, seq, child,
-                                  (None, snaps, False, (branch_col, value, delta))))
+                                  (None, snap, False, (branch_col, value, delta))))
             seq += 1
     else:
         best_bound = inc_cost
 
     return finish(best_bound)
-
-
-def _milp_from_hour(model: HourModel) -> _Milp:
-    group = _Group(model.index.j_col, model.k_star, model.loads, model.prices)
-    return _Milp(model.lp, model.net, model.opts, [group])
 
 
 def solve_hour(model: HourModel, opts: SolverOptions | None = None,
@@ -1343,17 +1271,8 @@ def solve_hour(model: HourModel, opts: SolverOptions | None = None,
         forests = _radial_forests(model.net)
     if forests.listed:
         return _solve_by_enumeration(model, forests)
-    milp = _milp_from_hour(model)
-    seed_sets = []
-    for statuses in seeds:
-        closed = frozenset(lid for lid, on in statuses.items() if on)
-        if closed <= set(model.index.j_col) and len(closed) == model.k_star:
-            seed_sets.append([closed])
-    hours, stats = _solve_milp(milp, opts, seed_sets)
-    sol = hours[0]
-    return HourSolution(statuses=sol.statuses, injections=sol.injections,
-                        angles=sol.angles, flows=sol.flows, cost=sol.cost,
-                        stats=stats)
+    sol, stats = _solve_milp(model, opts, seeds)
+    return replace(sol, stats=stats)
 
 
 # one pool process's network and options, and its forest set once built
@@ -1376,18 +1295,16 @@ def _solve_hour_task(loads_t, prices_t) -> HourSolution:
 
 
 def solve_day(problem: DayProblem, model_opts: ModelOptions | None = None,
-              solver_opts: SolverOptions | None = None, jobs: int = 1,
-              monolithic: bool = False) -> DaySolution:
+              solver_opts: SolverOptions | None = None,
+              jobs: int = 1) -> DaySolution:
     """Solve every hour of the horizon and sum the costs.
 
     Hours share no variables, so they are solved independently: in
-    sequence (warm-starting each hour from the previous topology), in
-    parallel when jobs > 1, or as one concatenated program when
-    monolithic is set (a testing aid that always runs the branch and
-    bound; jobs is then ignored). The network's forest set is built once,
-    after the first hour's model, and once per worker process when
-    parallel. A failing hour raises with its 0-based index and the
-    solved hours.
+    sequence, where each hour's branch and bound (if any) is seeded with
+    the previous hour's topology, or in parallel when jobs > 1. The
+    network's forest set is built once, after the first hour's model,
+    and once per worker process when parallel. A failing hour raises with
+    its 0-based index and the solved hours.
     """
     model_opts = model_opts or ModelOptions()
     solver_opts = solver_opts or SolverOptions()
@@ -1396,41 +1313,6 @@ def solve_day(problem: DayProblem, model_opts: ModelOptions | None = None,
         raise StructureError(
             "; ".join(f.message for f in report.errors) or "invalid network",
             report=report)
-
-    if monolithic:
-        # one program for the whole horizon, then solved hour-block by
-        # hour-block: hours share no columns, so each block's optimum is
-        # independent, while the matrix content still comes from the
-        # day-wide builder rather than the per-hour one
-        from .lp import LinearProgram
-        dm = build_day_model(problem, model_opts)
-        lp = dm.lp
-        hours = []
-        for t, ix in enumerate(dm.indexes):
-            cols = sorted(set(ix.sub_col.values()) | set(ix.flow_col.values())
-                          | set(ix.j_col.values()))
-            colset = set(cols)
-            remap = {g: l for l, g in enumerate(cols)}
-            sub = LinearProgram(
-                objective=[lp.objective[g] for g in cols],
-                lower=[lp.lower[g] for g in cols],
-                upper=[lp.upper[g] for g in cols])
-            for i, row in enumerate(lp.rows):
-                if row and row[0][0] in colset:
-                    sub.add_row(lp.senses[i], lp.rhs[i],
-                                [(remap[c], v) for c, v in row])
-            group = _Group({lid: remap[c] for lid, c in ix.j_col.items()},
-                           dm.k_star,
-                           apply_epsilon_loads(problem.loads[t], model_opts.epsilon),
-                           problem.prices[t])
-            milp = _Milp(sub, problem.net, model_opts, [group])
-            try:
-                hours_t, _stats = _solve_milp(milp, solver_opts)
-            except (InfeasibleHourError, NodeLimitError) as exc:
-                raise type(exc)(f"hour {t + 1}: {exc}", hour=t,
-                                partial=dict(enumerate(hours))) from exc
-            hours.extend(hours_t)
-        return DaySolution.from_hours(hours)
 
     if jobs > 1:
         from concurrent.futures import ProcessPoolExecutor
@@ -1457,21 +1339,17 @@ def solve_day(problem: DayProblem, model_opts: ModelOptions | None = None,
         return DaySolution.from_hours(solved[t] for t in range(problem.horizon))
 
     hours: list[HourSolution] = []
-    previous: HourSolution | None = None
     forests: _Forests | None = None
     for t in range(problem.horizon):
         loads_t = apply_epsilon_loads(problem.loads[t], model_opts.epsilon)
         model = build_hour_model(problem.net, loads_t, problem.prices[t], model_opts)
         if forests is None:
             forests = _radial_forests(problem.net)
-        seeds = []
-        if solver_opts.warm_start and previous is not None:
-            seeds.append(previous.statuses)
+        seeds = [hours[-1].statuses] if hours else []
         try:
             sol = solve_hour(model, solver_opts, seeds, forests=forests)
         except (InfeasibleHourError, NodeLimitError) as exc:
             raise type(exc)(f"hour {t + 1}: {exc}", hour=t,
                             partial=dict(enumerate(hours))) from exc
         hours.append(sol)
-        previous = sol
     return DaySolution.from_hours(hours)

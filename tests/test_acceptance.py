@@ -273,16 +273,6 @@ def test_simplex_matches_vertex_oracle():
             f"infeasible, all matching; unbounded ray classified")
 
 
-def test_monolithic_day_matches_per_hour():
-    """One day-wide program and 24 hourly programs agree on cost."""
-    per_hour, _ = _solved(1)
-    mono = solve_day(_problem(1), monolithic=True)
-    rel = abs(mono.total_cost - per_hour.total_cost) / abs(per_hour.total_cost)
-    assert rel <= 1e-6
-    _passed("decomposition equivalence",
-            f"monolithic vs per-hour rel diff {rel:.2e} <= 1e-6")
-
-
 def test_cheapest_substation_attracts_all_transferable_load():
     """Price differences alone steer the topology when nothing binds.
 

@@ -6,12 +6,11 @@ from reconf.lp import (
     INFEASIBLE,
     OPTIMAL,
     UNBOUNDED,
-    BlockSolver,
     LinearProgram,
     LpFormatError,
     LpOutcome,
+    PreparedLp,
     solve_lp,
-    split_blocks,
 )
 
 
@@ -203,61 +202,47 @@ class TestOracleAgreement:
         assert optima > 50 and infeasible > 10  # both classes exercised
 
 
-class TestBlocks:
-    def _two_block_program(self):
-        # vars 0,1 coupled by one row; var 2 independent; var 3 in no row
-        prog = _lp([1.0, 1.0, -1.0, 2.0], [0.0, 0.0, 0.0, 1.0],
-                   [5.0, 5.0, 4.0, 3.0])
-        prog.add_row(">=", 3.0, [(0, 1.0), (1, 1.0)])
-        prog.add_row("<=", 4.0, [(2, 1.0)])
-        return prog
+class TestWarmStart:
+    @staticmethod
+    def _revise(rng, lo, hi):
+        """New integer bounds inside the old ones on a random set of columns."""
+        bounds = {}
+        for j in rng.choice(len(lo), size=int(rng.integers(1, len(lo) + 1)),
+                            replace=False):
+            a, b = sorted(rng.integers(lo[j], hi[j] + 1, size=2).tolist())
+            bounds[int(j)] = (float(a), float(b))
+        return bounds
 
-    def test_split(self):
-        blocks = split_blocks(self._two_block_program())
-        assert [cols for cols, _ in blocks] == [[0, 1], [2], [3]]
-
-    def test_blockwise_equals_whole(self):
-        prog = self._two_block_program()
-        whole = solve_lp(prog)
-        split = BlockSolver(prog).solve()
-        assert split.status == whole.status == OPTIMAL
-        assert split.objective == pytest.approx(whole.objective)
-        assert split.values == pytest.approx(whole.values)
-
-    def test_blockwise_with_overrides_and_memo(self):
-        prog = self._two_block_program()
-        solver = BlockSolver(prog)
-        a = solver.solve({0: (2.0, 2.0)})
-        b = solver.solve({0: (2.0, 2.0)})
-        assert a.objective == b.objective
-        direct = solve_lp(prog, bounds={0: (2.0, 2.0)})
-        assert a.objective == pytest.approx(direct.objective)
-
-    def test_blockwise_infeasible_propagates(self):
-        prog = self._two_block_program()
-        out = BlockSolver(prog).solve({2: (9.0, 9.0)})
-        assert out.status == INFEASIBLE
-
-    def test_random_blockwise_agreement(self):
-        rng = np.random.default_rng(9)
-        for _ in range(40):
-            c1, rows1, senses1, rhs1, lo1, hi1 = random_program(rng)
-            c2, rows2, senses2, rhs2, lo2, hi2 = random_program(rng)
-            n1 = len(c1)
-            prog = _lp(
-                np.concatenate([c1, c2]),
-                np.concatenate([lo1, lo2]),
-                np.concatenate([hi1, hi2]),
-            )
-            for row, sense, b in zip(rows1, senses1, rhs1):
-                prog.add_row(sense, b, row)
-            for row, sense, b in zip(rows2, senses2, rhs2):
-                prog.add_row(sense, b, [(col + n1, v) for col, v in row])
-            whole = solve_lp(prog)
-            split = BlockSolver(prog).solve()
-            assert whole.status == split.status
-            if whole.status == OPTIMAL:
-                assert split.objective == pytest.approx(whole.objective, abs=1e-7)
+    def test_warm_solves_match_cold_solves(self):
+        # the warm route is driven directly: PreparedLp.solve would fall
+        # back to a cold solve and hide a fault in the dual repair
+        rng = np.random.default_rng(5)
+        optima = infeasible = 0
+        for _ in range(100):
+            c, rows, senses, rhs, lo, hi = random_program(rng)
+            prog = _lp(c, lo, hi, rows, senses, rhs)
+            prepared = PreparedLp(prog)
+            first, snap = prepared.solve()
+            assert first.status == solve_lp(prog).status
+            if snap is None:
+                continue
+            for _ in range(4):
+                bounds = self._revise(rng, lo, hi)
+                expected = solve_lp(prog, bounds=bounds)
+                # the second solve reuses the first one's factorization
+                outs = [prepared._warm_solve(*prepared._apply(bounds), snap)[0]
+                        for _ in range(2)]
+                for out in outs:
+                    assert out.status == expected.status
+                if expected.status == OPTIMAL:
+                    optima += 1
+                    assert outs[0].objective == pytest.approx(
+                        expected.objective, rel=1e-7, abs=1e-7)
+                    assert outs[1].objective == outs[0].objective
+                else:
+                    infeasible += 1
+            assert list(prepared._factor_cache) == [snap.basis.tobytes()]
+        assert optima > 50 and infeasible > 20  # both classes exercised
 
 
 def test_outcome_is_plain_data():

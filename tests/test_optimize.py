@@ -15,11 +15,9 @@ from reconf.optimize import (
     ModelOptions,
     NodeLimitError,
     SolverOptions,
-    _milp_from_hour,
     _radial_forests,
     _solve_milp,
     apply_epsilon_loads,
-    build_day_model,
     build_hour_model,
     enumerate_hour,
     evaluate_topology,
@@ -200,19 +198,24 @@ class TestSolveHour:
             solve_hour(model)
 
     def test_seed_does_not_change_answer(self):
+        # the expensive seed is the first incumbent; the search replaces it
         net = two_sub_net()
         model = build_hour_model(net, two_sub_loads(), [10.0, 20.0])
-        seeded = solve_hour(model, seeds=[{"s1-b": 0, "s2-b": 1}])
-        assert seeded.cost == pytest.approx(solve_hour(model).cost, rel=1e-9)
+        seeded, seeded_stats = _solve_milp(model, SolverOptions(),
+                                           seeds=[{"s1-b": 0, "s2-b": 1}])
+        cold, cold_stats = _solve_milp(model, SolverOptions())
+        assert seeded.statuses == cold.statuses == {"s1-b": 1, "s2-b": 0}
+        assert seeded.cost == cold.cost
+        assert seeded_stats.incumbent_updates == cold_stats.incumbent_updates + 1
 
     def test_stats_reported(self):
         net = two_sub_net()
         model = build_hour_model(net, two_sub_loads(), [10.0, 20.0])
-        hours, stats = _solve_milp(_milp_from_hour(model), SolverOptions())
+        sol, stats = _solve_milp(model, SolverOptions())
         assert stats.nodes >= 0
         assert stats.relaxations >= 1
         assert stats.incumbent_updates >= 1
-        assert stats.best_bound == pytest.approx(hours[0].cost, rel=1e-6)
+        assert stats.best_bound == pytest.approx(sol.cost, rel=1e-6)
 
     def test_enumerated_hour_stats(self):
         sol = solve_two_sub([10.0, 20.0])
@@ -246,7 +249,7 @@ class TestBranchAndBound:
         loads = np.array([1e-5, 1e-5, 8.0, 8.0])
         model = build_hour_model(net, loads, [10.0, 20.0])
         with pytest.raises(NodeLimitError):
-            _solve_milp(_milp_from_hour(model), SolverOptions(max_nodes=1))
+            _solve_milp(model, SolverOptions(max_nodes=1))
 
     def test_substation_join_pruned(self):
         # the only size-2 closed sets avoiding a substation bridge are
@@ -314,8 +317,7 @@ class TestAngleBoundsEnforcedByPhysics:
 
 def branch_and_bound(model, opts=None):
     """The hour's optimum from the branch and bound, whatever the count."""
-    hours, _stats = _solve_milp(_milp_from_hour(model), opts or SolverOptions())
-    return hours[0]
+    return _solve_milp(model, opts or SolverOptions())[0]
 
 
 class TestBranchAndBoundAgreesWithEnumeration:
@@ -686,12 +688,6 @@ class TestSolveDay:
         day = solve_day(DayProblem(net, loads, prices))
         assert day.total_cost == pytest.approx(13.0 * loads.sum(), rel=1e-9)
 
-    def test_warm_start_matches_cold(self):
-        problem = two_hour_problem()
-        warm = solve_day(problem, solver_opts=SolverOptions(warm_start=True))
-        cold = solve_day(problem, solver_opts=SolverOptions(warm_start=False))
-        assert warm.total_cost == pytest.approx(cold.total_cost, rel=1e-9)
-
     def test_parallel_matches_serial(self):
         problem = two_hour_problem()
         serial = solve_day(problem)
@@ -726,13 +722,6 @@ class TestSolveDay:
         assert info.value.hour == 1
         assert list(info.value.partial) == [0]
         assert info.value.partial[0].stats.relaxations >= 1
-
-    def test_monolithic_matches_decomposed(self):
-        problem = two_hour_problem()
-        split = solve_day(problem)
-        joint = solve_day(problem, monolithic=True)
-        assert joint.total_cost == pytest.approx(split.total_cost, rel=1e-9)
-        assert [h.statuses for h in joint.hours] == [h.statuses for h in split.hours]
 
 
 def grid_net():
@@ -847,19 +836,3 @@ def test_search_agrees_with_enumeration_under_congestion(seed):
     sol = solve_hour(model)
     assert sol.cost == pytest.approx(oracle.cost, rel=1e-6)
     assert branch_and_bound(model).cost == pytest.approx(oracle.cost, rel=1e-6)
-
-
-class TestDayModel:
-    def test_hours_are_disjoint_blocks(self):
-        problem = two_hour_problem()
-        dm = build_day_model(problem)
-        per_hour = build_hour_model(problem.net,
-                                    apply_epsilon_loads(problem.loads[0]),
-                                    problem.prices[0])
-        assert dm.lp.num_vars == 2 * per_hour.lp.num_vars
-        assert dm.lp.num_rows == 2 * per_hour.lp.num_rows
-        cols_0 = set(dm.indexes[0].flow_col.values()) | set(
-            dm.indexes[0].j_col.values())
-        cols_1 = set(dm.indexes[1].flow_col.values()) | set(
-            dm.indexes[1].j_col.values())
-        assert not cols_0 & cols_1
