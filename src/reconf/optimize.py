@@ -240,16 +240,26 @@ def _add_hour(lp: LinearProgram, net: Network, loads, prices) -> _HourIndex:
     every flow, so angles matter only through their bounds, and those are
     enforced exactly by evaluate_topology at every candidate the search
     accepts; the LP only has to bound the cost from below.
+
+    Every substation is a root of a radial forest (Lavorato et al., IEEE
+    TPWRS 27(1), 2012), and loads are non-negative: a substation injects
+    at least its own bus's load, and a line from a substation to another
+    bus carries flow only away from the substation. Without these bounds
+    the relaxation lets one substation import its load from another.
     """
     price_of = dict(zip(net.substations, prices))
+    subs = set(net.substations)
 
-    sub_col = {b: lp.add_variable(cost=price_of[b]) for b in net.substations}
+    sub_col = {b: lp.add_variable(price_of[b], float(loads[b]))
+               for b in net.substations}
     flow_col = {}
     for line in net.lines:
-        if line.flexible:
-            flow_col[line.id] = lp.add_variable(0.0, -np.inf, np.inf)
-        else:
-            flow_col[line.id] = lp.add_variable(0.0, -line.rating, line.rating)
+        lo, hi = ((-np.inf, np.inf) if line.flexible
+                  else (-line.rating, line.rating))
+        if (line.from_bus in subs) != (line.to_bus in subs):
+            # positive flow runs from from_bus to to_bus
+            lo, hi = (0.0, hi) if line.from_bus in subs else (lo, 0.0)
+        flow_col[line.id] = lp.add_variable(0.0, lo, hi)
     j_col = {line.id: lp.add_variable(0.0, 0.0, 1.0) for line in net.flexible_lines}
 
     # nodal balance: injection plus inflow minus outflow equals demand

@@ -102,18 +102,23 @@ class TestBuildHourModel:
         assert model.lp.num_rows == 8
 
     def test_columns_are_injections_flows_and_statuses(self):
-        net = two_sub_net()
-        model = build_hour_model(net, two_sub_loads(), [10.0, 20.0])
-        ix = model.index
+        # two_sub_net with the second line pointing into its substation
+        net = _net([_bus(0, True), _bus(1, True), _bus(2)],
+                   [_line("s1-b", 0, 2), _line("b-s2", 2, 1)])
+        model = build_hour_model(net, [1e-5, 2e-5, 8.0], [10.0, 20.0])
+        lp, ix = model.lp, model.index
         cols = (list(ix.sub_col.values()) + list(ix.flow_col.values())
                 + list(ix.j_col.values()))
-        assert sorted(cols) == list(range(model.lp.num_vars))
+        assert sorted(cols) == list(range(lp.num_vars))
         for col in ix.j_col.values():
-            assert (model.lp.lower[col], model.lp.upper[col]) == (0.0, 1.0)
-        # a switchable line's flow is bounded only by its gated rating rows
-        for col in ix.flow_col.values():
-            assert model.lp.lower[col] == -np.inf
-            assert model.lp.upper[col] == np.inf
+            assert (lp.lower[col], lp.upper[col]) == (0.0, 1.0)
+        # substations are roots: each injects at least its own bus's load,
+        # and a switchable line's flow only leaves a substation (it is
+        # otherwise bounded by its gated rating rows alone)
+        assert {b: (lp.lower[c], lp.upper[c]) for b, c in ix.sub_col.items()} == {
+            0: (1e-5, np.inf), 1: (2e-5, np.inf)}
+        assert {lid: (lp.lower[c], lp.upper[c]) for lid, c in ix.flow_col.items()} == {
+            "s1-b": (0.0, np.inf), "b-s2": (-np.inf, 0.0)}
 
     def test_angle_bounds_leave_relaxation_unchanged(self):
         # angle bounds reach the search only through evaluate_topology
@@ -131,11 +136,14 @@ class TestBuildHourModel:
         model = build_hour_model(net, [1e-5, 1.0, 1.0], [10.0])
         assert model.index.j_col == {}
         assert model.k_star == 0
-        # one injection and two rating-bounded flows, balance rows only
-        assert model.lp.num_vars == 3
-        assert model.lp.num_rows == 3
-        for col in model.index.flow_col.values():
-            assert (model.lp.lower[col], model.lp.upper[col]) == (-10.0, 10.0)
+        # one injection and two rating-bounded flows, balance rows only;
+        # line a leaves the substation, so its flow is not negative
+        lp, ix = model.lp, model.index
+        assert lp.num_vars == 3
+        assert lp.num_rows == 3
+        assert (lp.lower[ix.sub_col[0]], lp.upper[ix.sub_col[0]]) == (1e-5, np.inf)
+        assert {lid: (lp.lower[c], lp.upper[c]) for lid, c in ix.flow_col.items()} == {
+            "a": (0.0, 10.0), "b": (-10.0, 10.0)}
 
     def test_wrong_load_count_rejected(self):
         net = two_sub_net()
@@ -250,6 +258,15 @@ class TestBranchAndBound:
         model = build_hour_model(net, loads, [10.0, 20.0])
         with pytest.raises(NodeLimitError):
             _solve_milp(model, SolverOptions(max_nodes=1))
+
+    def test_loaded_substations_close_at_the_root(self):
+        # each substation serves at least its own load: the relaxation may
+        # not let bus 19 import it from the cheaper substation 0
+        loads = np.linspace(0.005, 0.02, 20)
+        model = build_hour_model(grid_net(), loads, [10.0, 12.0])
+        sol, _stats = _solve_milp(model, SolverOptions(max_nodes=1_000))
+        assert sol.cost == pytest.approx(
+            10 * loads[:19].sum() + 12 * loads[19], rel=1e-9)
 
     def test_substation_join_pruned(self):
         # the only size-2 closed sets avoiding a substation bridge are
@@ -528,7 +545,7 @@ class TestLazyRelaxation:
 
     def test_branch_and_bound_builds_the_same_relaxation(self):
         # the grid is above the cap, so solve_hour runs the branch and
-        # bound; the digest pins the program as built before it was lazy
+        # bound; the digest pins the program, root-aware bounds included
         model = build_hour_model(grid_net(), np.full(20, 0.01), [10.0, 10.0])
         assert "_relaxation" not in vars(model)
         assert solve_hour(model).stats.relaxations == 1
@@ -539,7 +556,7 @@ class TestLazyRelaxation:
                     sorted(ix.sub_col.items()), sorted(ix.flow_col.items()),
                     sorted(ix.j_col.items())))
         assert hashlib.sha256(doc.encode()).hexdigest() == (
-            "233d2035ed49c82c51665a4b36f98dd8c04eac97e1a66810731aa9a9ae241cd3")
+            "5987790dc1b29a32352bfd46e80b1e95e0d85975a68f452f0ea320e7925eda58")
 
 
 class TestSubstationCapacityScreen:
@@ -758,7 +775,6 @@ def random_switchable_net(rng):
                            rating=1e6, flexible=True))
     net = _net(buses, lines)
     loads = rng.uniform(0.0, 0.03, size=n)
-    loads[:n_subs] = 0.0
     prices = rng.uniform(5.0, 50.0, size=n_subs)
     return net, apply_epsilon_loads(loads), prices
 
@@ -814,7 +830,6 @@ def random_congested_net(rng):
                            rating=float(rng.uniform(0.02, 0.2))))
     net = _net(buses, lines)
     loads = rng.uniform(0.0, 0.04, size=n)
-    loads[:n_subs] = 0.0
     prices = rng.uniform(5.0, 50.0, size=n_subs)
     return net, apply_epsilon_loads(loads), prices
 
