@@ -839,7 +839,7 @@ def _solve_by_enumeration(model: HourModel, forests: _Forests) -> HourSolution:
 
 
 # statuses within this of 0 or 1 count as integral
-_INT_TOL = 1e-6
+_INTEGRALITY_TOL = 1e-6
 
 
 class _Milp:
@@ -995,15 +995,6 @@ def _greedy_closed(milp: _Milp, order: list[str]) -> frozenset[str] | None:
     return frozenset(closed) if len(closed) == k_star else None
 
 
-def _candidate_solution(milp: _Milp, closed) -> HourSolution | None:
-    """Exact-physics evaluation of a closed set (None: not a candidate)."""
-    if closed is None:
-        return None
-    model = milp.model
-    return evaluate_topology(milp.net, closed, model.loads, model.prices,
-                             model.opts)
-
-
 def _polish(milp: _Milp, closed, sol: HourSolution) -> HourSolution:
     """Greedy single-swap descent from the closed set whose physics is sol."""
     model = milp.model
@@ -1057,8 +1048,13 @@ def _solve_milp(model: HourModel, opts: SolverOptions,
     updates = 0
 
     def offer(closed, polish=False) -> None:
+        """Make closed the incumbent if exact physics accepts it and it is
+        cheaper; closed is None when no candidate was found."""
         nonlocal incumbent, inc_cost, updates
-        sol = _candidate_solution(milp, closed)
+        if closed is None:
+            return
+        sol = evaluate_topology(model.net, closed, model.loads, model.prices,
+                                model.opts)
         if sol is None or sol.cost >= inc_cost:
             return
         if polish:
@@ -1224,7 +1220,7 @@ def _solve_milp(model: HourModel, opts: SolverOptions,
             if fallback_col < 0:
                 fallback_col = col
             f = float(values[col])
-            if min(f, 1.0 - f) <= _INT_TOL:
+            if min(f, 1.0 - f) <= _INTEGRALITY_TOL:
                 continue
             integral = False
             score = (max(pc_rate(col, 1, avg_rate) * (1.0 - f), 1e-9)

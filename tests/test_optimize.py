@@ -264,9 +264,10 @@ class TestBranchAndBound:
         # not let bus 19 import it from the cheaper substation 0
         loads = np.linspace(0.005, 0.02, 20)
         model = build_hour_model(grid_net(), loads, [10.0, 12.0])
-        sol, _stats = _solve_milp(model, SolverOptions(max_nodes=1_000))
+        sol, stats = _solve_milp(model, SolverOptions(max_nodes=1_000))
         assert sol.cost == pytest.approx(
             10 * loads[:19].sum() + 12 * loads[19], rel=1e-9)
+        assert stats.nodes == 0
 
     def test_substation_join_pruned(self):
         # the only size-2 closed sets avoiding a substation bridge are
