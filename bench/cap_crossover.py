@@ -12,7 +12,7 @@ ways, ignoring _ENUMERATION_CAP and _ENUMERATION_BYTES:
         [--no-bb VARIANT,...] [--no-enum VARIANT,...] [--out FILE]
 
 It prints one JSON record per variant: buses, lines, forest count, the
-listing time and its traced peak, the byte estimate that solve_hour
+listing time and its traced peak, the byte estimate that _radial_forests
 compares with _ENUMERATION_BYTES, and per hour the enumeration and
 branch-and-bound times, nodes and costs (which must agree to 1e-9).
 The default run covers every variant but c4+ties_abc and c4+ties_abcd,
@@ -40,6 +40,7 @@ import numpy as np
 
 from reconf.casegen import FixtureSpec, day_problem
 from reconf.model import Line, Network
+import reconf.forests as fs
 import reconf.optimize as opt
 
 # name: (extra ties as ((feeder, offset), (feeder, offset)), feeder size,
@@ -87,21 +88,21 @@ def variant(extra, size, fixed) -> opt.DayProblem:
 def measure(name: str, hours, with_bb: bool, with_enum: bool) -> dict:
     problem = variant(*VARIANTS[name])
     net = problem.net
-    opt._ENUMERATION_CAP = float("inf")
-    opt._ENUMERATION_BYTES = float("inf")
-    n_nodes, edges = opt._contracted_edges(net)
-    count = opt._spanning_tree_count(n_nodes, edges)
+    fs._ENUMERATION_CAP = float("inf")
+    fs._ENUMERATION_BYTES = float("inf")
+    n_nodes, edges = fs._contracted_edges(net)
+    count = fs._spanning_tree_count(n_nodes, edges)
     out = {"variant": name, "buses": net.n_buses, "lines": len(net.lines),
            "forests": count,
-           "estimate_mb": round(opt._forest_bytes(net, edges, count) / 2**20, 1),
+           "estimate_mb": round(fs._forest_bytes(net, edges, count) / 2**20, 1),
            "hours": []}
     if with_enum:
         start = time.perf_counter()
-        forests = opt._radial_forests(net)
+        forests = fs._radial_forests(net)
         list_s = time.perf_counter() - start
         del forests
         tracemalloc.start()
-        forests = opt._radial_forests(net)
+        forests = fs._radial_forests(net)
         list_peak = tracemalloc.get_traced_memory()[1]
         tracemalloc.stop()
         out.update(list_s=round(list_s, 3),
@@ -135,8 +136,8 @@ def peak(name: str, hour: int, path: str) -> dict:
     model = opt.build_hour_model(
         problem.net, opt.apply_epsilon_loads(problem.loads[hour - 1]),
         problem.prices[hour - 1])
-    opt._ENUMERATION_CAP = float("inf")
-    opt._ENUMERATION_BYTES = float("inf")
+    fs._ENUMERATION_CAP = float("inf")
+    fs._ENUMERATION_BYTES = float("inf")
     before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
     start = time.perf_counter()
     if path == "enum":

@@ -1,8 +1,11 @@
-"""Day-ahead switching schedules for radial multi-substation feeders."""
+"""Day-ahead switching schedules for radial multi-substation feeders.
+
+The case generator's names are imported on first use (PEP 562), so a
+process that only solves never compiles the generator.
+"""
 
 __version__ = "0.1.0"
 
-from .casegen import FixtureSpec, day_problem, gen_price_profile, scale_loads
 from .dcflow import FlowSolution, TopologyError, check_limits, solve_flows
 from .model import (
     Bus,
@@ -65,3 +68,12 @@ __all__ = [
     "solve_hour",
     "validate",
 ]
+
+_GENERATOR = ("FixtureSpec", "day_problem", "gen_price_profile", "scale_loads")
+
+
+def __getattr__(name):
+    if name in _GENERATOR:
+        from . import casegen
+        return getattr(casegen, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

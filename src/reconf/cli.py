@@ -25,7 +25,6 @@ from pathlib import Path
 
 import numpy as np
 
-from .casegen import FixtureSpec, day_problem, gen_three_feeder
 from .model import (
     Network,
     NetworkFormatError,
@@ -181,6 +180,8 @@ def _micro_str(micro: int) -> str:
 
 
 def cmd_generate(args) -> int:
+    # imported here so that a solve never compiles the generator
+    from .casegen import FixtureSpec, day_problem
     spec = FixtureSpec(case_id=args.case, seed=args.seed,
                        rating_scale=args.rating_scale)
     problem = day_problem(spec, price_shape=args.price_shape)

@@ -7,15 +7,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from reconf.casegen import FixtureSpec, day_problem
+from reconf.forests import _ENUMERATION_CAP, _radial_forests
 from reconf.model import Bus, Line, Network, StructureError, is_spanning_forest
 from reconf.optimize import (
-    _ENUMERATION_CAP,
     DayProblem,
     InfeasibleHourError,
     ModelOptions,
     NodeLimitError,
     SolverOptions,
-    _radial_forests,
     _solve_milp,
     apply_epsilon_loads,
     build_hour_model,
