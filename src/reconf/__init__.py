@@ -29,7 +29,6 @@ from .optimize import (
     ModelOptions,
     NodeLimitError,
     SolverOptions,
-    enumerate_hour,
     evaluate_topology,
     solve_day,
     solve_hour,
@@ -54,7 +53,6 @@ __all__ = [
     "ValidationReport",
     "check_limits",
     "day_problem",
-    "enumerate_hour",
     "evaluate_topology",
     "gen_price_profile",
     "is_spanning_forest",

@@ -3,8 +3,7 @@
 On a forest the flow picture is fully determined by the loads: the flow on
 each line equals the total load hanging below it, and bus angles follow by
 walking outward from each substation (pinned at angle 0). solve_flows does
-exactly that accumulation; solve_flows_dense solves the susceptance system
-directly and exists as an independent cross-check.
+exactly that accumulation.
 
 Sign convention: flow on a line is positive in its from->to direction and
 equals (theta_from - theta_to) / x with x in per-unit and flow in MW.
@@ -161,46 +160,6 @@ def solve_flows(net: Network, closed: set[str], loads) -> FlowSolution:
     # lines inside substation-free components carry nothing
     for line in lines:
         flows.setdefault(line.id, 0.0)
-    return FlowSolution(flows, angles, injections, comp_of)
-
-
-def solve_flows_dense(net: Network, closed: set[str], loads) -> FlowSolution:
-    """Same contract as solve_flows, via a dense susceptance-matrix solve."""
-    loads = np.asarray(loads, dtype=float)
-    lines = _closed_lines(net, closed)
-    comp_of, sub_of = _split_components(net, lines, loads)
-
-    n = net.n_buses
-    b_matrix = np.zeros((n, n))
-    for line in lines:
-        y = 1.0 / line.reactance
-        a, b = line.from_bus, line.to_bus
-        b_matrix[a, a] += y
-        b_matrix[b, b] += y
-        b_matrix[a, b] -= y
-        b_matrix[b, a] -= y
-
-    angles = np.zeros(n)
-    for comp, root in enumerate(sub_of):
-        if root < 0:
-            continue
-        members = np.flatnonzero(comp_of == comp)
-        free = members[members != root]
-        if free.size:
-            sub_b = b_matrix[np.ix_(free, free)]
-            theta = np.linalg.solve(sub_b, -loads[free])
-            angles[free] = theta
-
-    flows: dict[str, float] = {}
-    for line in lines:
-        flows[line.id] = (angles[line.from_bus] - angles[line.to_bus]) / line.reactance
-
-    injections: dict[int, float] = {}
-    for comp, root in enumerate(sub_of):
-        if root < 0:
-            continue
-        total = float(loads[comp_of == comp].sum())
-        injections[root] = total
     return FlowSolution(flows, angles, injections, comp_of)
 
 

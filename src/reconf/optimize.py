@@ -17,9 +17,7 @@ best-bound branch and bound over line statuses with an LP relaxation,
 verifying every candidate with exact physics; the relaxation is built,
 and the LP engine imported, only then.
 
-enumerate_hour tries every closed set of the right size and serves as an
-independent check on small instances. solve_day chains the hourly solves,
-optionally in parallel.
+solve_day chains the hourly solves, optionally in parallel.
 """
 
 from __future__ import annotations
@@ -27,7 +25,6 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass, replace
 from functools import cached_property
-from itertools import combinations
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -326,32 +323,6 @@ def evaluate_topology(net: Network, closed_flexible, loads, prices_t,
     flows = {l.id: solution.flow(l.id) for l in net.lines}
     return HourSolution(statuses=statuses, injections=dict(solution.injections),
                         angles=solution.angles, flows=flows, cost=float(cost))
-
-
-def enumerate_hour(net: Network, loads_t, prices_t,
-                   opts: ModelOptions | None = None,
-                   cap: int = 15) -> HourSolution:
-    """Brute-force optimum: try every closed-set of the required size.
-
-    Independent of the branch and bound: candidates come from combinations,
-    feasibility from the forest test and recomputed flows. Only usable for
-    small flexible sets (cap guards the combinatorics).
-    """
-    opts = opts or ModelOptions()
-    flex_ids = sorted(l.id for l in net.flexible_lines)
-    if len(flex_ids) > cap:
-        raise ValueError(
-            f"enumeration supports at most {cap} flexible lines, got {len(flex_ids)}")
-    k_star = required_closed_flexible_count(net)
-    loads_t = np.asarray(loads_t, dtype=float)
-    best: HourSolution | None = None
-    for combo in combinations(flex_ids, k_star):
-        candidate = evaluate_topology(net, combo, loads_t, prices_t, opts)
-        if candidate is not None and (best is None or candidate.cost < best.cost):
-            best = candidate
-    if best is None:
-        raise InfeasibleHourError("no feasible radial topology")
-    return best
 
 
 # ---------------------------------------------------------------------------

@@ -13,10 +13,11 @@ import numpy as np
 import pytest
 
 from forest_oracle import RadialTopologies, kirchhoff_count
+from hour_oracle import enumerate_hour, solve_flows_dense
 from oracle_lp import enumerate_optimum, random_program
 from reconf.casegen import FixtureSpec, day_problem, scale_loads
 from reconf.cli import main
-from reconf.dcflow import solve_flows, solve_flows_dense
+from reconf.dcflow import solve_flows
 from reconf.lp import OPTIMAL, UNBOUNDED, LinearProgram, solve_lp
 from reconf.model import is_spanning_forest, required_closed_flexible_count
 from reconf.optimize import (
@@ -24,7 +25,6 @@ from reconf.optimize import (
     DaySolution,
     ModelOptions,
     apply_epsilon_loads,
-    enumerate_hour,
     evaluate_topology,
     solve_day,
 )

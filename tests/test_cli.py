@@ -8,9 +8,10 @@ from pathlib import Path
 import pytest
 
 import reconf
+from hour_oracle import enumerate_hour
 from reconf import cli, optimize
 from reconf.cli import main
-from reconf.optimize import apply_epsilon_loads, enumerate_hour
+from reconf.optimize import apply_epsilon_loads
 from reconf.model import parse_network
 
 

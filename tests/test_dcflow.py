@@ -1,12 +1,12 @@
 import numpy as np
 import pytest
 
+from hour_oracle import solve_flows_dense
 from reconf.dcflow import (
     TopologyError,
     check_limits,
     loading_percent,
     solve_flows,
-    solve_flows_dense,
 )
 from reconf.model import Bus, Line, Network
 

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hour_oracle import enumerate_hour
 from reconf.casegen import FixtureSpec, day_problem
 from reconf.forests import _ENUMERATION_CAP, _radial_forests
 from reconf.model import Bus, Line, Network, StructureError, is_spanning_forest
@@ -18,7 +19,6 @@ from reconf.optimize import (
     _solve_milp,
     apply_epsilon_loads,
     build_hour_model,
-    enumerate_hour,
     evaluate_topology,
     solve_day,
     solve_hour,
