@@ -27,10 +27,12 @@ them:
     shutdown  cli.main's return to the process's exit, as wait() sees it
 
 It prints one JSON object: per tree the median and quartiles of every
-phase, of `wall` (launch to exit) and of `peak_rss_mb` (the child's
-VmHWM); per phase the median of the pairs' differences (B minus A),
-which the host's drift disturbs less than the difference of medians;
-the per-pair wall differences; and how many pairs B won.
+phase, of `wall` (launch to exit), of `import_rss_mb` (the child's VmHWM
+right after the `reconf` import, which includes compiling `reconf` when
+no bytecode is cached) and of `peak_rss_mb` (its VmHWM at exit); per
+phase and memory reading the median of the pairs' differences (B minus
+A), which the host's drift disturbs less than the difference of
+medians; the per-pair wall differences; and how many pairs B won.
 """
 
 from __future__ import annotations
@@ -55,6 +57,12 @@ import numpy
 t_numpy = time.perf_counter()
 from reconf import cli, optimize
 t_import = time.perf_counter()
+
+def vm_hwm_kb():
+    with open("/proc/self/status") as fh:
+        return [int(l.split()[1]) for l in fh if l.startswith("VmHWM:")][0]
+
+import_rss = vm_hwm_kb()
 marks = {}
 
 def mark(owner, attr, before, after=None):
@@ -73,16 +81,17 @@ mark(optimize, "_radial_forests", "forests_start", "forests_end")
 mark(cli, "_write_outputs", "write_start")
 code = cli.main(sys.argv[2:])
 t_main = time.perf_counter()
-with open("/proc/self/status") as fh:
-    rss = [int(l.split()[1]) for l in fh if l.startswith("VmHWM:")][0]
+rss = vm_hwm_kb()
 with open(sys.argv[1], "w") as fh:
     json.dump(dict(marks, start=t_start, numpy=t_numpy, reconf=t_import,
-                   main=t_main, code=code, rss_kb=rss), fh)
+                   main=t_main, code=code, import_rss_kb=import_rss,
+                   rss_kb=rss), fh)
 sys.exit(code)
 """
 
 PHASES = ("start", "numpy", "import", "inputs", "forests", "hours", "write",
           "shutdown")
+MEMORY = ("import_rss_mb", "peak_rss_mb")
 
 
 def launch(tree: Path, work: Path, argv: list[str]) -> dict:
@@ -111,6 +120,7 @@ def launch(tree: Path, work: Path, argv: list[str]) -> dict:
         "write": m["main"] - m["write_start"],
         "shutdown": exited - m["main"],
         "wall": exited - launched,
+        "import_rss_mb": m["import_rss_kb"] / 1024.0,
         "peak_rss_mb": m["rss_kb"] / 1024.0,
     }
 
@@ -136,10 +146,10 @@ def make_inputs(tree: Path, work: Path, case: int, hours: list[int]) -> list[str
 
 def summary(samples: list[dict]) -> dict:
     out = {}
-    for key in (*PHASES, "wall", "peak_rss_mb"):
+    for key in (*PHASES, "wall", *MEMORY):
         values = sorted(s[key] for s in samples)
         q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
-        scale = 1.0 if key == "peak_rss_mb" else 1000.0   # phases in ms
+        scale = 1.0 if key in MEMORY else 1000.0   # phases in ms
         out[key] = {"median": round(median * scale, 2),
                     "q1": round(q1 * scale, 2), "q3": round(q3 * scale, 2)}
     return out
@@ -168,12 +178,16 @@ def main(argv=None) -> None:
     diffs = [b["wall"] - a["wall"] for a, b in zip(*samples)]
     result = {
         "case": args.case, "hours": hours, "angle": args.angle,
-        "launches": args.launches, "units": "ms; peak_rss_mb in MB",
+        "launches": args.launches,
+        "units": "ms; import_rss_mb and peak_rss_mb in MB",
         "trees": {str(tree): summary(s) for tree, s in zip(trees, samples)},
         "median_diff_ms_b_minus_a": {
             key: round(statistics.median(b[key] - a[key] for a, b in zip(*samples))
                        * 1000.0, 2)
             for key in (*PHASES, "wall")},
+        "median_diff_mb_b_minus_a": {
+            key: round(statistics.median(b[key] - a[key] for a, b in zip(*samples)), 3)
+            for key in MEMORY},
         "wall_diff_ms_b_minus_a": [round(d * 1000.0, 2) for d in diffs],
         "b_wins": sum(d < 0 for d in diffs),
     }

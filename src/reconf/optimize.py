@@ -326,7 +326,7 @@ def evaluate_topology(net: Network, closed_flexible, loads, prices_t,
 
 
 # ---------------------------------------------------------------------------
-# count, then enumerate: ranked spanning forests
+# ranked enumeration over the listed forests
 
 
 def _solve_by_enumeration(model: HourModel, forests: _Forests) -> HourSolution:

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+import reconf
+from reconf import casegen
 from reconf.casegen import (
     LOAD_SHAPE,
     FixtureSpec,
@@ -178,3 +180,24 @@ class TestDayProblem:
             scale_loads(prob, 0.0)
         with pytest.raises(ValueError):
             scale_loads(prob, -1.0)
+
+
+class TestPackageNames:
+    """reconf serves the generator's names on first use."""
+
+    def test_generator_names_resolve(self):
+        for name in ("FixtureSpec", "day_problem", "gen_price_profile",
+                     "scale_loads"):
+            assert getattr(reconf, name) is getattr(casegen, name)
+
+    def test_star_import_binds_every_public_name(self):
+        namespace = {}
+        exec("from reconf import *", namespace)
+        assert set(reconf.__all__) <= set(namespace)
+        assert namespace["day_problem"] is casegen.day_problem
+        assert "enumerate_hour" not in reconf.__all__
+
+    def test_unknown_attribute_raises(self):
+        with pytest.raises(AttributeError, match="no_such_name"):
+            reconf.no_such_name
+        assert not hasattr(reconf, "enumerate_hour")

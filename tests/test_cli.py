@@ -243,12 +243,14 @@ class TestSolve:
         assert len(calls) == 1
 
     def test_enumerated_solve_never_imports_the_lp_engine(self, tiny):
-        # a fresh interpreter: this one has long since imported reconf.lp
+        # a fresh interpreter: this one has long since imported reconf.lp;
+        # nor does a solve import the case generator
         script = (
             "import sys\n"
             "from reconf.cli import main\n"
             "code = main(sys.argv[1:])\n"
-            "print(code, 'reconf.lp' in sys.modules)\n")
+            "print(code, 'reconf.lp' in sys.modules,"
+            " 'reconf.casegen' in sys.modules)\n")
         argv = ["solve", "--network", tiny["network"], "--loads", tiny["loads"],
                 "--prices", tiny["prices"], "--out", str(tiny["dir"] / "run")]
         out = subprocess.run(
@@ -257,7 +259,7 @@ class TestSolve:
             env={**{k: v for k, v in os.environ.items()
                     if not k.startswith("RECONF_")},
                  "PYTHONPATH": str(Path(reconf.__file__).parents[1])})
-        assert out.stdout.split()[-2:] == ["0", "False"]
+        assert out.stdout.split()[-3:] == ["0", "False", "False"]
 
     def test_loads_header_mismatch(self, tiny, tmp_path):
         bad = _write(tmp_path / "bad_loads.csv",
