@@ -195,7 +195,6 @@ class TestPackageNames:
         exec("from reconf import *", namespace)
         assert set(reconf.__all__) <= set(namespace)
         assert namespace["day_problem"] is casegen.day_problem
-        assert "enumerate_hour" not in reconf.__all__
 
     def test_unknown_attribute_raises(self):
         with pytest.raises(AttributeError, match="no_such_name"):
