@@ -14,7 +14,8 @@ ways, ignoring _ENUMERATION_CAP and _ENUMERATION_BYTES:
 It prints one JSON record per variant: buses, lines, forest count, the
 listing time and its traced peak, the byte estimate that _radial_forests
 compares with _ENUMERATION_BYTES, and per hour the enumeration and
-branch-and-bound times, nodes and costs (which must agree to 1e-9).
+branch-and-bound times, the branch and bound's nodes and relaxations,
+and the costs (which must agree to 1e-9).
 The default run covers every variant but c4+ties_abc and c4+ties_abcd,
 whose listings take about 263 MiB and 1 GiB; --no-enum times a variant
 by the branch and bound alone, without listing it.
@@ -121,7 +122,7 @@ def measure(name: str, hours, with_bb: bool, with_enum: bool) -> dict:
             start = time.perf_counter()
             sol, stats = opt._solve_milp(model, opt.SolverOptions())
             record.update(bb_s=round(time.perf_counter() - start, 3),
-                          bb_nodes=stats.nodes)
+                          bb_nodes=stats.nodes, bb_relaxations=stats.relaxations)
             if not with_enum:
                 record.update(cost=sol.cost)
             elif abs(sol.cost - ranked.cost) > 1e-9 * abs(ranked.cost):

@@ -1,12 +1,19 @@
-"""Linear programming: bounded-variable primal simplex on a dense tableau.
+"""Linear programming: bounded-variable simplex on a dense tableau.
 
-Minimizes c.x subject to sparse constraint rows (<=, >=, =) and per-variable
-bounds, either of which may be infinite. Two-phase start: rows whose slack
-cannot absorb the initial residual get an artificial variable, phase 1
-drives the artificials to zero, phase 2 optimizes the real objective.
-Dantzig pricing with a switch to Bland's rule after a stall keeps the
-iteration finite; all tie-breaks go to the lowest variable index so
-repeated solves are bit-identical.
+Minimizes c.x subject to sparse constraint rows (<=, >=, =) and
+per-variable bounds, either of which may be infinite. PreparedLp, the
+one entry point, prepares a program once and solves it under bounds
+overrides by one of two routes, auditing every optimal outcome:
+
+- cold, two-phase: rows whose slack cannot absorb the initial residual
+  get an artificial variable, phase 1 drives the artificials to zero,
+  phase 2 optimizes the real objective. Dantzig pricing switches to
+  Bland's rule after a stall; ties go to the lowest index, so repeated
+  solves are bit-identical;
+- warm: an earlier optimal basis is refactored under the new bounds and
+  dual-simplex pivots restore primal feasibility. The basis stays dual
+  feasible, so it ends optimal; if a column could still improve, or
+  the repair fails numerically, the solve goes cold.
 """
 
 from __future__ import annotations
@@ -24,6 +31,15 @@ _LE, _GE, _EQ = 0, 1, 2
 _SENSE_CODE = {"<=": _LE, ">=": _GE, "=": _EQ}
 
 _AT_LO, _AT_UP, _FREE, _BASIC = 0, 1, 2, 3
+
+# Rows and bounds hold to _TOL_FEAS (relative, see _audited_outcome),
+# reduced costs within _TOL_OPT of zero are optimal, entries at or below
+# _PIVOT_FLOOR are never pivoted on, and pricing turns to Bland's rule
+# after _STALL_LIMIT moves that do not lower the objective.
+_TOL_FEAS = 1e-7
+_TOL_OPT = 1e-9
+_PIVOT_FLOOR = 1e-10
+_STALL_LIMIT = 100
 
 
 class LpFormatError(ValueError):
@@ -83,7 +99,7 @@ class LpOutcome:
     values: np.ndarray | None = None
 
 
-def _build_arrays(lp: LinearProgram, bounds):
+def _build_arrays(lp: LinearProgram):
     n, m = lp.num_vars, lp.num_rows
     if not (len(lp.lower) == len(lp.upper) == n):
         raise LpFormatError("bounds length does not match objective length")
@@ -92,18 +108,8 @@ def _build_arrays(lp: LinearProgram, bounds):
     c = np.asarray(lp.objective, dtype=float)
     lo = np.asarray(lp.lower, dtype=float)
     hi = np.asarray(lp.upper, dtype=float)
-    if bounds:
-        lo = lo.copy()
-        hi = hi.copy()
-        for col, (blo, bhi) in bounds.items():
-            if not 0 <= col < n:
-                raise LpFormatError(f"bounds override for unknown column {col}")
-            lo[col] = blo
-            hi[col] = bhi
     if not np.all(np.isfinite(c)):
         raise LpFormatError("objective coefficients must be finite")
-    if np.any(np.isnan(lo)) or np.any(np.isnan(hi)):
-        raise LpFormatError("bounds must not be NaN")
     a = np.zeros((m, n))
     for i, row in enumerate(lp.rows):
         for col, coef in row:
@@ -126,11 +132,20 @@ def _build_arrays(lp: LinearProgram, bounds):
     return c, a, senses, b, lo, hi
 
 
-class _Tableau:
-    """Mutable simplex state shared by both phases."""
+def _improving(z, status, span):
+    """Nonbasic columns whose reduced cost z says a move lowers the
+    objective: (incr, decr) masks for moves up from the lower bound and
+    down from the upper bound."""
+    movable = (span > 0) & (status != _BASIC)
+    incr = movable & (status != _AT_UP) & (z < -_TOL_OPT)
+    decr = movable & (status != _AT_LO) & (z > _TOL_OPT)
+    return incr, decr
 
-    def __init__(self, a_full, basis, status, values, xb, lo, hi,
-                 tol_opt, pivot_floor, stall_limit, max_iters):
+
+class _Tableau:
+    """Mutable simplex state shared by both phases of a cold solve."""
+
+    def __init__(self, a_full, basis, status, values, xb, lo, hi):
         self.T = a_full
         self.basis = basis
         self.status = status
@@ -138,10 +153,7 @@ class _Tableau:
         self.xb = xb
         self.lo = lo
         self.hi = hi
-        self.tol_opt = tol_opt
-        self.pivot_floor = pivot_floor
-        self.stall_limit = stall_limit
-        self.max_iters = max_iters
+        self.max_iters = 2000 + 60 * (a_full.shape[0] + a_full.shape[1])
         self.iterations = 0
         self._rank1 = np.empty_like(self.T)
 
@@ -160,13 +172,11 @@ class _Tableau:
             if self.iterations > self.max_iters:
                 raise LpIterationError(f"no convergence within {self.max_iters} pivots")
             z = cost - self.T.T @ cost[self.basis] if m else cost.copy()
-            movable = (span > 0) & (self.status != _BASIC)
-            incr = movable & (self.status != _AT_UP) & (z < -self.tol_opt)
-            decr = movable & (self.status != _AT_LO) & (z > self.tol_opt)
+            incr, decr = _improving(z, self.status, span)
             cand = incr | decr
             if not cand.any():
                 return OPTIMAL
-            if stall <= self.stall_limit:
+            if stall <= _STALL_LIMIT:
                 score = np.where(cand, np.abs(z), -1.0)
                 j = int(np.argmax(score))
             else:
@@ -178,8 +188,8 @@ class _Tableau:
             if m:
                 lo_b = self.lo[self.basis]
                 hi_b = self.hi[self.basis]
-                pos = dw > self.pivot_floor
-                neg = dw < -self.pivot_floor
+                pos = dw > _PIVOT_FLOOR
+                neg = dw < -_PIVOT_FLOOR
                 with np.errstate(invalid="ignore"):
                     ratios[pos] = (self.xb[pos] - lo_b[pos]) / dw[pos]
                     ratios[neg] = (self.xb[neg] - hi_b[neg]) / dw[neg]
@@ -239,7 +249,7 @@ class _Tableau:
                 continue
             row = self.T[r, :first_art]
             eligible = np.flatnonzero(
-                (np.abs(row) > 1e3 * self.pivot_floor) & (self.status[:first_art] != _BASIC)
+                (np.abs(row) > 1e3 * _PIVOT_FLOOR) & (self.status[:first_art] != _BASIC)
             )
             if eligible.size:
                 j = int(eligible[0])
@@ -247,143 +257,30 @@ class _Tableau:
                 self._pivot(r, j, d, 0.0, d * self.T[:, j])
 
 
-def _audited_outcome(tab, c, a, b, lo, hi, n, m, n_art, first_art,
-                     tol_feas) -> LpOutcome:
-    """Read the solution off an optimal tableau and audit it."""
-    b_scale = 1.0 + (float(np.max(np.abs(b))) if m else 0.0)
-    x_full = tab.values.copy()
-    x_full[tab.basis] = tab.xb
+def _audited_outcome(prep: PreparedLp, lo, hi, values, basis, xb) -> LpOutcome:
+    """Read the solution off an optimal basis of prep and audit it: every
+    scaled row within a componentwise backward error of _TOL_FEAS, bounds
+    and artificials within _TOL_FEAS * (1 + max|b|)."""
+    n, m, a, b = prep.n, prep.m, prep.a, prep.b
+    x_full = values.copy()
+    x_full[basis] = xb
     x = x_full[:n]
     n_cols = n + m
-    if n_art and np.any(np.abs(x_full[first_art:]) > tol_feas * b_scale):
+    if np.any(np.abs(x_full[n_cols:]) > _TOL_FEAS * prep.b_scale):
         raise LpNumericalError("artificial variable left nonzero")
     if m:
         row_resid = np.abs(a @ x + x_full[n:n_cols] - b)
         row_gain = np.abs(a) @ np.abs(x) + np.abs(x_full[n:n_cols])
-        if np.any(row_resid > tol_feas * (1.0 + np.abs(b) + row_gain)):
+        if np.any(row_resid > _TOL_FEAS * (1.0 + np.abs(b) + row_gain)):
             raise LpNumericalError("solution failed the row feasibility audit")
-    bound_slack = tol_feas * b_scale
+    bound_slack = _TOL_FEAS * prep.b_scale
     finite_lo = np.isfinite(lo)
     finite_hi = np.isfinite(hi)
     if np.any(x[finite_lo] < lo[finite_lo] - bound_slack) or np.any(
         x[finite_hi] > hi[finite_hi] + bound_slack
     ):
         raise LpNumericalError("solution failed the bounds audit")
-    return LpOutcome(OPTIMAL, float(c @ x), x)
-
-
-def _solve_arrays(c, a, senses, b, lo, hi, tol_feas, tol_opt, pivot_floor,
-                  stall_limit, max_iters):
-    """Two-phase simplex over prepared arrays.
-
-    Returns (outcome, tableau, art_rows); the tableau is None unless the
-    outcome is optimal, in which case its basis describes the final
-    vertex (artificial columns recorded in art_rows may still be basic
-    at zero on redundant rows).
-    """
-    m, n = a.shape
-
-    slack_lo = np.where(senses == _LE, 0.0, np.where(senses == _GE, -np.inf, 0.0))
-    slack_hi = np.where(senses == _LE, np.inf, np.where(senses == _GE, 0.0, 0.0))
-    lo_full = np.concatenate([lo, slack_lo])
-    hi_full = np.concatenate([hi, slack_hi])
-
-    n_cols = n + m
-    status = np.empty(n_cols, dtype=np.int8)
-    values = np.zeros(n_cols)
-    for j in range(n_cols):
-        if np.isfinite(lo_full[j]):
-            status[j] = _AT_LO
-            values[j] = lo_full[j]
-        elif np.isfinite(hi_full[j]):
-            status[j] = _AT_UP
-            values[j] = hi_full[j]
-        else:
-            status[j] = _FREE
-            values[j] = 0.0
-
-    resid = b - a @ values[:n] if m else np.zeros(0)
-    basis = np.empty(m, dtype=int)
-    art_rows: list[int] = []
-    art_signs: list[float] = []
-    xb = np.zeros(m)
-    for i in range(m):
-        s = float(resid[i])
-        if slack_lo[i] - 1e-12 <= s <= slack_hi[i] + 1e-12:
-            basis[i] = n + i  # slack absorbs the residual
-            status[n + i] = _BASIC
-            xb[i] = s
-        else:
-            rest = float(np.clip(s, slack_lo[i], slack_hi[i]))
-            values[n + i] = rest
-            status[n + i] = _AT_LO if rest == slack_lo[i] else _AT_UP
-            gap = s - rest
-            art_rows.append(i)
-            art_signs.append(1.0 if gap > 0 else -1.0)
-            xb[i] = abs(gap)
-
-    n_art = len(art_rows)
-    first_art = n_cols
-    a_full = np.hstack([a, np.eye(m)]) if m else np.zeros((0, n_cols))
-    if n_art:
-        art_block = np.zeros((m, n_art))
-        for k, (i, sign) in enumerate(zip(art_rows, art_signs)):
-            art_block[i, k] = sign
-            basis[i] = n_cols + k
-        a_full = np.hstack([a_full, art_block])
-        lo_full = np.concatenate([lo_full, np.zeros(n_art)])
-        hi_full = np.concatenate([hi_full, np.full(n_art, np.inf)])
-        status = np.concatenate([status, np.full(n_art, _BASIC, dtype=np.int8)])
-        values = np.concatenate([values, np.zeros(n_art)])
-        # normalize rows so every basis column is +1
-        for i, sign in zip(art_rows, art_signs):
-            if sign < 0:
-                a_full[i] *= -1.0
-
-    if max_iters is None:
-        max_iters = 2000 + 60 * (m + a_full.shape[1])
-    tab = _Tableau(a_full, basis, status, values, xb, lo_full, hi_full,
-                   tol_opt, pivot_floor, stall_limit, max_iters)
-
-    b_scale = 1.0 + (float(np.max(np.abs(b))) if m else 0.0)
-    if n_art:
-        phase1_cost = np.zeros(a_full.shape[1])
-        phase1_cost[first_art:] = 1.0
-        outcome = tab.run(phase1_cost)
-        if outcome == UNBOUNDED:
-            raise LpNumericalError("phase 1 reported an unbounded direction")
-        if tab.objective_of(phase1_cost) > tol_feas * b_scale:
-            return LpOutcome(INFEASIBLE), None, art_rows
-        tab.hi[first_art:] = 0.0  # artificials are locked at zero from here on
-        tab.force_out_artificials(first_art)
-
-    cost_full = np.zeros(a_full.shape[1])
-    cost_full[:n] = c
-    outcome = tab.run(cost_full)
-    if outcome == UNBOUNDED:
-        return LpOutcome(UNBOUNDED), None, art_rows
-
-    out = _audited_outcome(tab, c, a, b, lo, hi, n, m, n_art, first_art, tol_feas)
-    return out, tab, art_rows
-
-
-def solve_lp(lp: LinearProgram, *, bounds=None, tol_feas: float = 1e-7,
-             tol_opt: float = 1e-9, pivot_floor: float = 1e-10,
-             stall_limit: int = 100, max_iters: int | None = None) -> LpOutcome:
-    """Solve the program; bounds optionally overrides {column: (lo, hi)}.
-
-    Returns an LpOutcome whose status is "optimal", "infeasible" or
-    "unbounded". Rows are max-norm equilibrated internally; optimal
-    outcomes satisfy every scaled row within a componentwise backward
-    error of tol_feas. Deterministic: identical inputs give identical
-    outputs.
-    """
-    c, a, senses, b, lo, hi = _build_arrays(lp, bounds)
-    if np.any(lo > hi):
-        return LpOutcome(INFEASIBLE)
-    out, _tab, _arts = _solve_arrays(c, a, senses, b, lo, hi, tol_feas,
-                                     tol_opt, pivot_floor, stall_limit, max_iters)
-    return out
+    return LpOutcome(OPTIMAL, float(prep.c @ x), x)
 
 
 @dataclass(frozen=True)
@@ -416,7 +313,7 @@ class BasisSnapshot:
 
 
 def _row_impossible(row, status, values, lo_full, hi_full, current,
-                    target_lo, target_hi, tol, floor) -> bool:
+                    target_lo, target_hi, b_scale) -> bool:
     """Certify that no nonbasic movement can bring row r's value in range.
 
     Entries at or below the pivot floor are treated as exact zeros, the
@@ -424,9 +321,10 @@ def _row_impossible(row, status, values, lo_full, hi_full, current,
     round-off dust times an infinite bound span would block every
     certificate.
     """
+    tol = _TOL_FEAS * b_scale
     nb = status != _BASIC
     rj = row[nb]
-    rj = np.where(np.abs(rj) <= floor, 0.0, rj)
+    rj = np.where(np.abs(rj) <= _PIVOT_FLOOR, 0.0, rj)
     dlo = lo_full[nb] - values[nb]
     dhi = hi_full[nb] - values[nb]
     with np.errstate(invalid="ignore"):
@@ -440,16 +338,18 @@ def _row_impossible(row, status, values, lo_full, hi_full, current,
 
 
 def _dual_repair(T, basis, status, values, xb, lo_full, hi_full, z,
-                 feas_tol, pivot_floor, max_pivots) -> str:
+                 b_scale) -> str:
     """Dual-simplex pivots until every basic value sits inside its bounds.
 
     Starts from a dual-feasible basis (reduced costs z consistent with
     the nonbasic statuses) whose basic values may violate bounds after a
-    bounds revision. Mutates all state in place. Returns OPTIMAL when
-    primal feasibility is restored, INFEASIBLE on a certified impossible
-    row; raises LpIterationError or LpNumericalError when the caller
-    should fall back to a cold solve.
+    bounds revision; b_scale is 1 + max|b| of the program. Mutates all
+    state in place. Returns OPTIMAL when primal feasibility is restored,
+    INFEASIBLE on a certified impossible row; raises LpIterationError or
+    LpNumericalError when the caller should fall back to a cold solve.
     """
+    feas_tol = _TOL_FEAS * b_scale
+    max_pivots = 50 + len(basis)
     span = hi_full - lo_full
     rank1 = np.empty_like(T)
     pivots = 0
@@ -470,18 +370,18 @@ def _dual_repair(T, basis, status, values, xb, lo_full, hi_full, z,
         movable = (status != _BASIC) & (span > 0)
         free = movable & (status == _FREE)
         if is_below:
-            can = ((movable & (status == _AT_LO) & (row < -pivot_floor))
-                   | (movable & (status == _AT_UP) & (row > pivot_floor))
-                   | (free & (np.abs(row) > pivot_floor)))
+            can = ((movable & (status == _AT_LO) & (row < -_PIVOT_FLOOR))
+                   | (movable & (status == _AT_UP) & (row > _PIVOT_FLOOR))
+                   | (free & (np.abs(row) > _PIVOT_FLOOR)))
         else:
-            can = ((movable & (status == _AT_LO) & (row > pivot_floor))
-                   | (movable & (status == _AT_UP) & (row < -pivot_floor))
-                   | (free & (np.abs(row) > pivot_floor)))
+            can = ((movable & (status == _AT_LO) & (row > _PIVOT_FLOOR))
+                   | (movable & (status == _AT_UP) & (row < -_PIVOT_FLOOR))
+                   | (free & (np.abs(row) > _PIVOT_FLOOR)))
         idx = np.flatnonzero(can)
         if idx.size == 0:
             if _row_impossible(row, status, values, lo_full, hi_full,
                                float(xb[r]), float(lo_b[r]), float(hi_b[r]),
-                               feas_tol, pivot_floor):
+                               b_scale):
                 return INFEASIBLE
             raise LpNumericalError("dual repair stalled without a certificate")
         ratios = np.abs(z[idx]) / np.abs(row[idx])
@@ -509,19 +409,20 @@ def _dual_repair(T, basis, status, values, xb, lo_full, hi_full, z,
 class PreparedLp:
     """One program's arrays prepared once for many bound revisions.
 
-    solve() takes the same bounds overrides as solve_lp plus an optional
-    BasisSnapshot from an earlier optimal solve of the same program. The
-    snapshot seeds a dual-simplex repair that typically finishes in a few
-    pivots; numerical trouble on the warm route falls back to the cold
-    two-phase path, so results never depend on warm-start health. Every
-    optimal outcome passes the same audits as solve_lp.
+    solve() takes optional bounds overrides {column: (lo, hi)} and an
+    optional BasisSnapshot from an earlier optimal solve of the same
+    program. It returns an LpOutcome whose status is "optimal",
+    "infeasible" or "unbounded", together with the new vertex's snapshot
+    (None unless optimal). Rows are max-norm equilibrated internally.
+    The snapshot seeds a dual-simplex repair that typically finishes in a
+    few pivots; numerical trouble on the warm route falls back to the
+    cold two-phase route, so results never depend on warm-start health.
+    Deterministic: identical inputs give identical outputs.
     """
 
-    def __init__(self, lp: LinearProgram, *, tol_feas: float = 1e-7,
-                 tol_opt: float = 1e-9, pivot_floor: float = 1e-10,
-                 stall_limit: int = 100):
+    def __init__(self, lp: LinearProgram):
         self.c, self.a, self.senses, self.b, self.lo0, self.hi0 = \
-            _build_arrays(lp, None)
+            _build_arrays(lp)
         self.m, self.n = self.a.shape
         m = self.m
         self.slack_lo = np.where(self.senses == _LE, 0.0,
@@ -532,10 +433,6 @@ class PreparedLp:
             np.zeros((0, self.n))
         self.c_full = np.concatenate([self.c, np.zeros(m)])
         self.b_scale = 1.0 + (float(np.max(np.abs(self.b))) if m else 0.0)
-        self.tol_feas = tol_feas
-        self.tol_opt = tol_opt
-        self.pivot_floor = pivot_floor
-        self.stall_limit = stall_limit
         # refactorizations keyed by basis: siblings in a search tree warm
         # from the same parent vertex, so the inverse-basis image of the
         # program is reused instead of refactored per solve
@@ -549,6 +446,8 @@ class PreparedLp:
                 raise LpFormatError(f"bounds override for unknown column {col}")
             lo[col] = blo
             hi[col] = bhi
+        if np.any(np.isnan(lo)) or np.any(np.isnan(hi)):
+            raise LpFormatError("bounds must not be NaN")
         return lo, hi
 
     def solve(self, bounds=None,
@@ -563,34 +462,97 @@ class PreparedLp:
                 pass
         return self._cold_solve(lo, hi)
 
-    def _snapshot(self, tab, art_rows) -> BasisSnapshot | None:
+    def _snapshot(self, basis, status, z, art_rows) -> BasisSnapshot | None:
+        """The snapshot of an optimal basis with reduced costs z, or None
+        when a leftover artificial cannot be swapped for its row's slack."""
         n_cols = self.n + self.m
-        basis = tab.basis.copy()
-        status = tab.status[:n_cols].copy()
+        basis = basis.copy()
+        status = status[:n_cols].copy()
         for r in np.flatnonzero(basis >= n_cols):
             # a leftover artificial marks a redundant row; its column is
             # (up to sign) that row's slack, so swap the slack in
             i = art_rows[int(basis[r]) - n_cols]
-            if tab.status[self.n + i] == _BASIC:
+            if status[self.n + i] == _BASIC:
                 return None
             basis[r] = self.n + i
             status[self.n + i] = _BASIC
-        width = tab.T.shape[1]
-        cost = np.zeros(width)
-        cost[:self.n] = self.c
-        z_all = cost - tab.T.T @ cost[tab.basis]
-        return BasisSnapshot(basis=basis, status=status,
-                             reduced=z_all[:self.n].copy())
+        return BasisSnapshot(basis=basis, status=status, reduced=z[:self.n].copy())
 
     def _cold_solve(self, lo, hi):
-        out, tab, art_rows = _solve_arrays(
-            self.c, self.a, self.senses, self.b, lo, hi, self.tol_feas,
-            self.tol_opt, self.pivot_floor, self.stall_limit, None)
-        if out.status != OPTIMAL:
-            return out, None
-        return out, self._snapshot(tab, art_rows)
+        """Two-phase simplex from every column at a finite bound (or free
+        at zero); the snapshot is None unless the outcome is optimal."""
+        m, n = self.m, self.n
+        n_cols = n + m
+        lo_full = np.concatenate([lo, self.slack_lo])
+        hi_full = np.concatenate([hi, self.slack_hi])
+        finite_lo = np.isfinite(lo_full)
+        finite_hi = np.isfinite(hi_full)
+        status = np.where(finite_lo, _AT_LO,
+                          np.where(finite_hi, _AT_UP, _FREE)).astype(np.int8)
+        values = np.where(finite_lo, lo_full, np.where(finite_hi, hi_full, 0.0))
+
+        resid = self.b - self.a @ values[:n] if m else np.zeros(0)
+        basis = np.empty(m, dtype=int)
+        art_rows: list[int] = []
+        art_signs: list[float] = []
+        xb = np.zeros(m)
+        for i in range(m):
+            s = float(resid[i])
+            if self.slack_lo[i] - 1e-12 <= s <= self.slack_hi[i] + 1e-12:
+                basis[i] = n + i  # slack absorbs the residual
+                status[n + i] = _BASIC
+                xb[i] = s
+            else:
+                rest = float(np.clip(s, self.slack_lo[i], self.slack_hi[i]))
+                values[n + i] = rest
+                status[n + i] = _AT_LO if rest == self.slack_lo[i] else _AT_UP
+                gap = s - rest
+                art_rows.append(i)
+                art_signs.append(1.0 if gap > 0 else -1.0)
+                xb[i] = abs(gap)
+
+        n_art = len(art_rows)
+        if n_art:
+            art_block = np.zeros((m, n_art))
+            for k, (i, sign) in enumerate(zip(art_rows, art_signs)):
+                art_block[i, k] = sign
+                basis[i] = n_cols + k
+            a_full = np.hstack([self.a_full, art_block])
+            lo_full = np.concatenate([lo_full, np.zeros(n_art)])
+            hi_full = np.concatenate([hi_full, np.full(n_art, np.inf)])
+            status = np.concatenate([status, np.full(n_art, _BASIC, dtype=np.int8)])
+            values = np.concatenate([values, np.zeros(n_art)])
+            # normalize rows so every basis column is +1
+            for i, sign in zip(art_rows, art_signs):
+                if sign < 0:
+                    a_full[i] *= -1.0
+        else:
+            a_full = self.a_full.copy()  # pivots mutate the tableau
+        tab = _Tableau(a_full, basis, status, values, xb, lo_full, hi_full)
+
+        if n_art:
+            phase1_cost = np.zeros(a_full.shape[1])
+            phase1_cost[n_cols:] = 1.0
+            outcome = tab.run(phase1_cost)
+            if outcome == UNBOUNDED:
+                raise LpNumericalError("phase 1 reported an unbounded direction")
+            if tab.objective_of(phase1_cost) > _TOL_FEAS * self.b_scale:
+                return LpOutcome(INFEASIBLE), None
+            tab.hi[n_cols:] = 0.0  # artificials are locked at zero from here on
+            tab.force_out_artificials(n_cols)
+
+        cost_full = np.zeros(a_full.shape[1])
+        cost_full[:n] = self.c
+        if tab.run(cost_full) == UNBOUNDED:
+            return LpOutcome(UNBOUNDED), None
+        out = _audited_outcome(self, lo, hi, tab.values, tab.basis, tab.xb)
+        z = cost_full - tab.T.T @ cost_full[tab.basis]
+        return out, self._snapshot(tab.basis, tab.status, z, art_rows)
 
     def _warm_solve(self, lo, hi, warm):
+        """Dual-simplex repair of warm's basis under (lo, hi); raises when
+        the caller should solve cold instead, among others when the
+        repaired basis is not optimal."""
         m, n = self.m, self.n
         n_cols = n + m
         lo_full = np.concatenate([lo, self.slack_lo])
@@ -599,9 +561,7 @@ class PreparedLp:
         basis = warm.basis.copy()
         # nonbasic columns sit on their (possibly revised) bounds
         values = np.zeros(n_cols)
-        at_lo = status == _AT_LO
-        at_up = status == _AT_UP
-        bad = at_lo & ~np.isfinite(lo_full)
+        bad = (status == _AT_LO) & ~np.isfinite(lo_full)
         status[bad] = np.where(np.isfinite(hi_full[bad]), _AT_UP, _FREE)
         bad = (status == _AT_UP) & ~np.isfinite(hi_full)
         status[bad] = np.where(np.isfinite(lo_full[bad]), _AT_LO, _FREE)
@@ -631,18 +591,15 @@ class PreparedLp:
         z = z0.copy()
 
         state = _dual_repair(T, basis, status, values, xb, lo_full, hi_full,
-                             z, self.tol_feas * self.b_scale,
-                             self.pivot_floor, 50 + m)
+                             z, self.b_scale)
         if state == INFEASIBLE:
             return LpOutcome(INFEASIBLE), None
-        tab = _Tableau(T, basis, status, values, xb, lo_full, hi_full,
-                       self.tol_opt, self.pivot_floor, self.stall_limit,
-                       2000 + 60 * (m + n_cols))
-        if tab.run(self.c_full) == UNBOUNDED:
-            raise LpNumericalError("warm cleanup found an unbounded direction")
-        out = _audited_outcome(tab, self.c, self.a, self.b, lo, hi, n, m,
-                               0, n_cols, self.tol_feas)
-        return out, self._snapshot(tab, [])
+        z = self.c_full - T.T @ self.c_full[basis]
+        incr, decr = _improving(z, status, hi_full - lo_full)
+        if (incr | decr).any():
+            raise LpNumericalError("repaired basis is not optimal")
+        out = _audited_outcome(self, lo, hi, values, basis, xb)
+        return out, self._snapshot(basis, status, z, [])
 
 
 class BlockSolver:

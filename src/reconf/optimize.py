@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, replace
-from functools import cached_property
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -189,22 +188,9 @@ def apply_epsilon_loads(loads, epsilon: float = 1e-5) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class _HourIndex:
-    """Column positions of one hour's variables inside a LinearProgram."""
-
-    sub_col: dict[int, int]
-    flow_col: dict[str, int]
-    j_col: dict[str, int]
-
-
-@dataclass(frozen=True)
 class HourModel:
-    """One hour's data plus its LP relaxation, lp with column map index.
-
-    Only the branch and bound reads the relaxation, so it is built on
-    first access: an hour solved by ranked enumeration never builds it,
-    and a process that only enumerates never imports the LP engine.
-    """
+    """One hour's data: the network, its loads and substation prices,
+    and k_star, the number of switchable lines a radial topology closes."""
 
     k_star: int
     net: Network
@@ -212,23 +198,10 @@ class HourModel:
     prices: np.ndarray
     opts: ModelOptions
 
-    @cached_property
-    def _relaxation(self) -> tuple[LinearProgram, _HourIndex]:
-        from .lp import LinearProgram
-        lp = LinearProgram()
-        return lp, _add_hour(lp, self.net, self.loads, self.prices)
 
-    @property
-    def lp(self) -> LinearProgram:
-        return self._relaxation[0]
-
-    @property
-    def index(self) -> _HourIndex:
-        return self._relaxation[1]
-
-
-def _add_hour(lp: LinearProgram, net: Network, loads, prices) -> _HourIndex:
-    """Append one hour's variables and rows to lp; return the column map.
+def _add_hour(lp: LinearProgram, net: Network, loads, prices):
+    """Append one hour's variables and rows to lp; return the column maps
+    (sub_col, flow_col, j_col) by substation bus and by line id.
 
     The relaxation carries no angles. On a spanning forest the loads fix
     every flow, so angles matter only through their bounds, and those are
@@ -277,13 +250,12 @@ def _add_hour(lp: LinearProgram, net: Network, loads, prices) -> _HourIndex:
         k = required_closed_flexible_count(net)
         lp.add_row("=", float(k), [(c, 1.0) for c in j_col.values()])
 
-    return _HourIndex(sub_col, flow_col, j_col)
+    return sub_col, flow_col, j_col
 
 
 def build_hour_model(net: Network, loads_t, prices_t,
                      opts: ModelOptions | None = None) -> HourModel:
-    """One hour's model; its relaxation (J columns bounded to [0, 1]) is
-    built when first read."""
+    """One hour's model; the branch and bound builds its relaxation."""
     opts = opts or ModelOptions()
     loads_t = np.asarray(loads_t, dtype=float)
     prices_t = np.asarray(prices_t, dtype=float)
@@ -384,15 +356,19 @@ _INTEGRALITY_TOL = 1e-6
 
 
 class _Milp:
-    """One hour's search data: the model, its status columns j_col, and
-    the contraction that merges the substations into root (bus b maps to
-    contract[b]) with the always-closed lines already joined in base_dsu."""
+    """One hour's search data: the model, its LP relaxation lp (status
+    columns j_col bounded to [0, 1]), and the contraction that merges the
+    substations into root (bus b maps to contract[b]) with the
+    always-closed lines already joined in base_dsu."""
 
     def __init__(self, model: HourModel):
+        from .lp import LinearProgram
         net = model.net
         self.model = model
         self.net = net
-        self.j_col = model.index.j_col
+        self.lp = LinearProgram()
+        _sub_col, _flow_col, self.j_col = _add_hour(
+            self.lp, net, model.loads, model.prices)
         self.root = net.n_buses
         self.base_dsu = _base_contraction(net)
         subs = set(net.substations)
@@ -575,7 +551,7 @@ def _solve_milp(model: HourModel, opts: SolverOptions,
     from .lp import OPTIMAL, BlockSolver
     milp = _Milp(model)
     j_col = milp.j_col
-    solver = BlockSolver(model.lp)
+    solver = BlockSolver(milp.lp)
     relaxations = 0
 
     def relax(fixed, warm=None):

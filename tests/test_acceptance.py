@@ -18,7 +18,7 @@ from oracle_lp import enumerate_optimum, random_program
 from reconf.casegen import FixtureSpec, day_problem, scale_loads
 from reconf.cli import main
 from reconf.dcflow import solve_flows
-from reconf.lp import OPTIMAL, UNBOUNDED, LinearProgram, solve_lp
+from reconf.lp import OPTIMAL, UNBOUNDED, LinearProgram, PreparedLp
 from reconf.model import is_spanning_forest, required_closed_flexible_count
 from reconf.optimize import (
     DayProblem,
@@ -245,8 +245,9 @@ def test_simplex_matches_vertex_oracle():
     """Simplex agrees with brute-force vertex enumeration on 500 LPs.
 
     Random programs are small enough (at most 6 variables and 6 rows)
-    to enumerate every basic point; classifications must agree and
-    optimal objectives must match within 1e-6. Unboundedness cannot
+    to enumerate every basic point; classifications must agree,
+    optimal objectives must match within 1e-6 and optimal values lie
+    within their bounds to 1e-7. Unboundedness cannot
     arise under finite bounds, so it is probed directly with an
     improving ray.
     """
@@ -257,17 +258,19 @@ def test_simplex_matches_vertex_oracle():
         prog = LinearProgram(objective=list(c), lower=list(lo), upper=list(hi))
         for row, sense, b in zip(rows, senses, rhs):
             prog.add_row(sense, b, row)
-        out = solve_lp(prog)
+        out = PreparedLp(prog).solve()[0]
         status, best = enumerate_optimum(c, rows, senses, rhs, lo, hi)
         assert out.status == status
         if status == OPTIMAL:
             optima += 1
             assert out.objective == pytest.approx(best, rel=1e-6, abs=1e-6)
+            assert np.all(out.values >= lo - 1e-7)
+            assert np.all(out.values <= hi + 1e-7)
         else:
             infeasible += 1
     assert optima > 100 and infeasible > 20  # both classes exercised
     ray = LinearProgram(objective=[-1.0], lower=[0.0], upper=[np.inf])
-    assert solve_lp(ray).status == UNBOUNDED
+    assert PreparedLp(ray).solve()[0].status == UNBOUNDED
     _passed("lp correctness",
             f"500 random programs: {optima} optimal, {infeasible} "
             f"infeasible, all matching; unbounded ray classified")

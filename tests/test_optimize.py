@@ -8,7 +8,9 @@ from hypothesis import strategies as st
 
 from hour_oracle import enumerate_hour
 from reconf.casegen import FixtureSpec, day_problem
+from reconf import optimize
 from reconf.forests import _ENUMERATION_CAP, _radial_forests
+from reconf.lp import LinearProgram
 from reconf.model import Bus, Line, Network, StructureError, is_spanning_forest
 from reconf.optimize import (
     DayProblem,
@@ -16,6 +18,8 @@ from reconf.optimize import (
     ModelOptions,
     NodeLimitError,
     SolverOptions,
+    _add_hour,
+    _Milp,
     _solve_milp,
     apply_epsilon_loads,
     build_hour_model,
@@ -90,33 +94,43 @@ class TestEpsilonLoads:
         assert loads[0] == 0.0
 
 
+def relaxation(model):
+    """The hour's relaxation as _Milp builds it, with its column maps
+    (sub_col, flow_col, j_col)."""
+    milp = _Milp(model)
+    lp = LinearProgram()
+    sub_col, flow_col, j_col = _add_hour(lp, model.net, model.loads, model.prices)
+    assert lp == milp.lp and j_col == milp.j_col
+    return milp.lp, sub_col, flow_col, j_col
+
+
 class TestBuildHourModel:
     def test_tiny_model_shape(self):
         net = two_sub_net()
         model = build_hour_model(net, two_sub_loads(), [10.0, 20.0])
+        lp = _Milp(model).lp
         # 2 substation injections + 2 line flows + 2 statuses
-        assert model.lp.num_vars == 6
+        assert lp.num_vars == 6
         assert model.k_star == 1
         # balance x3, rating pairs x2, one count row
-        assert model.lp.num_rows == 8
+        assert lp.num_rows == 8
 
     def test_columns_are_injections_flows_and_statuses(self):
         # two_sub_net with the second line pointing into its substation
         net = _net([_bus(0, True), _bus(1, True), _bus(2)],
                    [_line("s1-b", 0, 2), _line("b-s2", 2, 1)])
         model = build_hour_model(net, [1e-5, 2e-5, 8.0], [10.0, 20.0])
-        lp, ix = model.lp, model.index
-        cols = (list(ix.sub_col.values()) + list(ix.flow_col.values())
-                + list(ix.j_col.values()))
+        lp, sub_col, flow_col, j_col = relaxation(model)
+        cols = list(sub_col.values()) + list(flow_col.values()) + list(j_col.values())
         assert sorted(cols) == list(range(lp.num_vars))
-        for col in ix.j_col.values():
+        for col in j_col.values():
             assert (lp.lower[col], lp.upper[col]) == (0.0, 1.0)
         # substations are roots: each injects at least its own bus's load,
         # and a switchable line's flow only leaves a substation (it is
         # otherwise bounded by its gated rating rows alone)
-        assert {b: (lp.lower[c], lp.upper[c]) for b, c in ix.sub_col.items()} == {
+        assert {b: (lp.lower[c], lp.upper[c]) for b, c in sub_col.items()} == {
             0: (1e-5, np.inf), 1: (2e-5, np.inf)}
-        assert {lid: (lp.lower[c], lp.upper[c]) for lid, c in ix.flow_col.items()} == {
+        assert {lid: (lp.lower[c], lp.upper[c]) for lid, c in flow_col.items()} == {
             "s1-b": (0.0, np.inf), "b-s2": (-np.inf, 0.0)}
 
     def test_angle_bounds_leave_relaxation_unchanged(self):
@@ -125,7 +139,7 @@ class TestBuildHourModel:
         wide = build_hour_model(net, two_sub_loads(), [10.0, 20.0])
         tight = build_hour_model(net, two_sub_loads(), [10.0, 20.0],
                                  ModelOptions(angle_lo=-0.4, angle_hi=0.5))
-        assert tight.lp == wide.lp
+        assert _Milp(tight).lp == _Milp(wide).lp
         assert (tight.opts.angle_lo, tight.opts.angle_hi) == (-0.4, 0.5)
 
     def test_static_network_has_no_status_columns(self):
@@ -133,15 +147,15 @@ class TestBuildHourModel:
                    [_line("a", 0, 1, flexible=False),
                     _line("b", 1, 2, flexible=False)])
         model = build_hour_model(net, [1e-5, 1.0, 1.0], [10.0])
-        assert model.index.j_col == {}
+        lp, sub_col, flow_col, j_col = relaxation(model)
+        assert j_col == {}
         assert model.k_star == 0
         # one injection and two rating-bounded flows, balance rows only;
         # line a leaves the substation, so its flow is not negative
-        lp, ix = model.lp, model.index
         assert lp.num_vars == 3
         assert lp.num_rows == 3
-        assert (lp.lower[ix.sub_col[0]], lp.upper[ix.sub_col[0]]) == (1e-5, np.inf)
-        assert {lid: (lp.lower[c], lp.upper[c]) for lid, c in ix.flow_col.items()} == {
+        assert (lp.lower[sub_col[0]], lp.upper[sub_col[0]]) == (1e-5, np.inf)
+        assert {lid: (lp.lower[c], lp.upper[c]) for lid, c in flow_col.items()} == {
             "a": (0.0, 10.0), "b": (-10.0, 10.0)}
 
     def test_wrong_load_count_rejected(self):
@@ -536,25 +550,38 @@ class TestForestSet:
 
 
 class TestLazyRelaxation:
-    """The hour's LP is built only when the branch and bound reads it."""
+    """The hour's LP is built only by the branch and bound."""
 
-    def test_enumerated_hour_builds_no_relaxation(self):
+    @pytest.fixture
+    def built(self, monkeypatch):
+        """(lp, column maps) of every relaxation built, in order."""
+        calls = []
+
+        def spy(lp, net, loads, prices):
+            cols = _add_hour(lp, net, loads, prices)
+            calls.append((lp, cols))
+            return cols
+
+        monkeypatch.setattr(optimize, "_add_hour", spy)
+        return calls
+
+    def test_enumerated_hour_builds_no_relaxation(self, built):
         model = build_hour_model(two_sub_net(), two_sub_loads(), [10.0, 20.0])
         solve_hour(model)
-        assert "_relaxation" not in vars(model)
+        assert built == []
 
-    def test_branch_and_bound_builds_the_same_relaxation(self):
+    def test_branch_and_bound_builds_the_same_relaxation(self, built):
         # the grid is above the cap, so solve_hour runs the branch and
         # bound; the digest pins the program, root-aware bounds included
         model = build_hour_model(grid_net(), np.full(20, 0.01), [10.0, 10.0])
-        assert "_relaxation" not in vars(model)
+        assert built == []
         assert solve_hour(model).stats.relaxations == 1
-        assert "_relaxation" in vars(model)
-        lp, ix = model.lp, model.index
+        assert len(built) == 1
+        lp, (sub_col, flow_col, j_col) = built[0]
         assert (lp.num_vars, lp.num_rows) == (64, 83)
         doc = repr((lp.objective, lp.lower, lp.upper, lp.rows, lp.senses, lp.rhs,
-                    sorted(ix.sub_col.items()), sorted(ix.flow_col.items()),
-                    sorted(ix.j_col.items())))
+                    sorted(sub_col.items()), sorted(flow_col.items()),
+                    sorted(j_col.items())))
         assert hashlib.sha256(doc.encode()).hexdigest() == (
             "5987790dc1b29a32352bfd46e80b1e95e0d85975a68f452f0ea320e7925eda58")
 
