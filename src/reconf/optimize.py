@@ -189,8 +189,9 @@ def apply_epsilon_loads(loads, epsilon: float = 1e-5) -> np.ndarray:
 
 @dataclass(frozen=True)
 class HourModel:
-    """One hour's data: the network, its loads and substation prices,
-    and k_star, the number of switchable lines a radial topology closes."""
+    """One hour's data: the network, its loads, substation prices and
+    model options, and k_star, the number of switchable lines a radial
+    topology closes."""
 
     k_star: int
     net: Network

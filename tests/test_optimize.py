@@ -7,8 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hour_oracle import enumerate_hour
-from reconf.casegen import FixtureSpec, day_problem
 from reconf import optimize
+from reconf.casegen import FixtureSpec, day_problem
 from reconf.forests import _ENUMERATION_CAP, _radial_forests
 from reconf.lp import LinearProgram
 from reconf.model import Bus, Line, Network, StructureError, is_spanning_forest
