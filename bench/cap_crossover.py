@@ -1,10 +1,11 @@
 """Time ranked enumeration against the branch and bound on case-4 variants.
 
-The variants are generated case-4 networks with one or two extra
+The variants are generated case-4 networks with one to four extra
 switchable ties (more radial topologies, 39 buses), some feeder lines
 made always-closed (fewer), or longer feeders (the same 16,017
 topologies over more buses, with reactances shrunk by the square of the
-feeder length so the angle drops stay those of case 4). For each variant
+feeder length so the angle drops stay those of case 4), or both
+(c4-feeders50+ties_ac: 398,545 topologies over 150 buses). For each variant
 the script lists the forest set once and solves hours 8, 15 and 20 both
 ways, ignoring _ENUMERATION_CAP and _ENUMERATION_BYTES:
 
@@ -12,13 +13,16 @@ ways, ignoring _ENUMERATION_CAP and _ENUMERATION_BYTES:
         [--no-bb VARIANT,...] [--no-enum VARIANT,...] [--out FILE]
 
 It prints one JSON record per variant: buses, lines, forest count, the
-listing time and its traced peak, the byte estimate that _radial_forests
-compares with _ENUMERATION_BYTES, and per hour the enumeration and
-branch-and-bound times, the branch and bound's nodes and relaxations,
-and the costs (which must agree to 1e-9).
+byte estimate that _radial_forests compares with _ENUMERATION_BYTES, the
+listing time, its traced peak and the distinct assignments, and per
+hour the enumeration time, the forests laid out so far (kept layouts,
+at most _KEPT_LAYOUTS), the branch-and-bound time, nodes and
+relaxations, and the costs (which must agree to 1e-9).
 The default run covers every variant but c4+ties_abc and c4+ties_abcd,
-whose listings take about 263 MiB and 1 GiB; --no-enum times a variant
-by the branch and bound alone, without listing it.
+with 1.6 and 6.5 million forests; --no-enum times a variant by the
+branch and bound alone, without listing it, and --no-bb by enumeration
+alone (c4-feeders50+ties_ac, 150 buses, takes 7-47 s per hour by
+branch and bound).
 
     PYTHONPATH=src python3 bench/cap_crossover.py VARIANT --peak enum|bb
 
@@ -58,6 +62,7 @@ VARIANTS = {
                     13, 0),
     "c4+ties_abcd": ((((0, 3), (1, 3)), ((0, 7), (2, 7)), ((1, 11), (2, 9)),
                       ((0, 11), (1, 11))), 13, 0),
+    "c4-feeders50+ties_ac": ((((0, 3), (1, 3)), ((1, 11), (2, 9))), 50, 0),
     "c4-feeders40": ((), 40, 0),
     "c4-feeders100": ((), 100, 0),
     "c4-feeders170": ((), 170, 0),
@@ -95,7 +100,8 @@ def measure(name: str, hours, with_bb: bool, with_enum: bool) -> dict:
     count = fs._spanning_tree_count(n_nodes, edges)
     out = {"variant": name, "buses": net.n_buses, "lines": len(net.lines),
            "forests": count,
-           "estimate_mb": round(fs._forest_bytes(net, edges, count) / 2**20, 1),
+           "estimate_mb": round(fs._forest_bytes(net, n_nodes, edges, count)
+                                / 2**20, 1),
            "hours": []}
     if with_enum:
         start = time.perf_counter()
@@ -107,7 +113,8 @@ def measure(name: str, hours, with_bb: bool, with_enum: bool) -> dict:
         list_peak = tracemalloc.get_traced_memory()[1]
         tracemalloc.stop()
         out.update(list_s=round(list_s, 3),
-                   list_peak_mb=round(list_peak / 2**20, 1))
+                   list_peak_mb=round(list_peak / 2**20, 1),
+                   assignments=forests.assignments.shape[1])
     for hour in hours:
         model = opt.build_hour_model(
             net, opt.apply_epsilon_loads(problem.loads[hour - 1]),
@@ -117,7 +124,7 @@ def measure(name: str, hours, with_bb: bool, with_enum: bool) -> dict:
             start = time.perf_counter()
             ranked = opt.solve_hour(model, forests=forests)
             record.update(enum_s=round(time.perf_counter() - start, 3),
-                          cost=ranked.cost)
+                          cost=ranked.cost, laid_out=forests.layouts.kept)
         if with_bb:
             start = time.perf_counter()
             sol, stats = opt._solve_milp(model, opt.SolverOptions())

@@ -3,7 +3,7 @@
 Subcommands cover the full workflow: `generate` writes a synthetic case
 to disk, `validate` checks a network file, `solve` produces the day's
 switching schedule with its cost and loading tables, and `report`
-cross-checks completed runs and compares their totals. Exit codes are
+audits completed runs against their inputs and compares their totals. Exit codes are
 scriptable: 0 success, 1 validation failure, 2 unreadable or malformed
 input, 3 infeasible hour, 4 solver limits.
 
@@ -29,9 +29,9 @@ from .model import (
     Network,
     NetworkFormatError,
     StructureError,
+    is_spanning_forest,  # the report's audit calls it through this module
     parse_network_file,
     serialize_network,
-    is_spanning_forest,
     validate,
 )
 from .optimize import (
@@ -175,6 +175,27 @@ def _micro_str(micro: int) -> str:
     return f"{sign}{micro // 1_000_000}.{micro % 1_000_000:06d}"
 
 
+def _loading_cells(net: Network, flows: dict[str, float]) -> list[str]:
+    """Each line's loading in percent of its rating, as loading.csv holds it."""
+    return [f"{100.0 * abs(flows.get(l.id, 0.0)) / l.rating:.6f}"
+            for l in net.lines]
+
+
+def _sha256(path: str) -> str:
+    """A file's sha256 digest, from the interpreter's own sha256 module
+    where it has one: hashlib loads OpenSSL, which adds about 3.7 MB to a
+    solve process's resident memory."""
+    try:
+        from _sha2 import sha256            # Python 3.12 and later
+    except ImportError:
+        try:
+            from _sha256 import sha256      # Python 3.10 and 3.11
+        except ImportError:
+            from hashlib import sha256
+    with open(path, "rb") as fh:
+        return sha256(fh.read()).hexdigest()
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -289,15 +310,11 @@ def _write_outputs(out: Path, net: Network, day: DaySolution,
             w.writerow([t + 1, _micro_str(micro)])
         w.writerow(["total", _micro_str(sum(hour_micros))])
 
-    line_ids = [l.id for l in net.lines]
-    by_id = net.lines_by_id
     with open(out / "loading.csv", "w", newline="") as fh:
         w = csv.writer(fh, lineterminator="\n")
-        w.writerow(["hour"] + line_ids)
+        w.writerow(["hour"] + [l.id for l in net.lines])
         for t, hour in enumerate(day.hours):
-            w.writerow([t + 1] + [
-                f"{100.0 * abs(hour.flows.get(lid, 0.0)) / by_id[lid].rating:.6f}"
-                for lid in line_ids])
+            w.writerow([t + 1] + _loading_cells(net, hour.flows))
 
     nodes = sum(h.stats.nodes for h in day.hours if h.stats)
     relaxations = sum(h.stats.relaxations for h in day.hours if h.stats)
@@ -310,6 +327,10 @@ def _write_outputs(out: Path, net: Network, day: DaySolution,
 
     run = {
         "network": config.network,
+        "loads": config.loads,
+        "prices": config.prices,
+        "sha256": {what: _sha256(getattr(config, what))
+                   for what in ("network", "loads", "prices")},
         "n_buses": net.n_buses,
         "n_lines": len(net.lines),
         "flexible_lines": flex_ids,
@@ -325,34 +346,12 @@ def _write_outputs(out: Path, net: Network, day: DaySolution,
     (out / "run.json").write_text(json.dumps(run, indent=2, sort_keys=True) + "\n")
 
 
-def _read_run(run_dir: str) -> tuple[dict, list[tuple[int, dict[str, int]]]]:
-    """Load one completed solve: its run.json and schedule rows."""
-    base = Path(run_dir)
-    try:
-        run = json.loads((base / "run.json").read_text())
-        with open(base / "schedule.csv", newline="") as fh:
-            rows = list(csv.reader(fh))
-    except OSError as exc:
-        raise _io_error(f"cannot read run {run_dir}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise _io_error(f"malformed run.json in {run_dir}: {exc}") from exc
-    if not rows or rows[0][:1] != ["hour"]:
-        raise _io_error(f"malformed schedule.csv in {run_dir}")
-    flex_ids = rows[0][1:]
-    schedule = []
-    for row in rows[1:]:
-        try:
-            schedule.append((int(row[0]),
-                             {lid: int(v) for lid, v in zip(flex_ids, row[1:])}))
-        except ValueError:
-            raise _io_error(f"malformed schedule.csv in {run_dir}") from None
-    return run, schedule
-
-
 def cmd_report(args) -> int:
+    # imported here so that a solve never compiles the audit
+    from .audit import audit, read_run
     runs = []
     for run_dir in args.runs:
-        run, schedule = _read_run(run_dir)
+        run, schedule = read_run(run_dir)
         runs.append((run_dir, run, schedule))
 
     first = runs[0][1]
@@ -363,19 +362,14 @@ def cmd_report(args) -> int:
                   file=sys.stderr)
             return EXIT_INVALID
 
-    # round-trip check: every scheduled topology must still be a forest
     for run_dir, run, schedule in runs:
-        net_path = Path(run["network"])
-        if not net_path.exists():
-            net_path = Path(run_dir) / run["network"]
-        net = _read_network(str(net_path))
-        always_closed = {l.id for l in net.nonflexible_lines}
-        for hour, statuses in schedule:
-            closed = always_closed | {lid for lid, on in statuses.items() if on}
-            if not is_spanning_forest(net, closed):
-                print(f"error: {run_dir} hour {hour} schedule is not radial",
-                      file=sys.stderr)
-                return EXIT_INVALID
+        try:
+            problem = audit(run_dir, run, schedule)
+        except (KeyError, TypeError) as exc:
+            raise _io_error(f"malformed run.json in {run_dir}: {exc!r}") from None
+        if problem is not None:
+            print(f"error: {run_dir} {problem}", file=sys.stderr)
+            return EXIT_INVALID
 
     base_cost = float(runs[0][1]["total_cost"])
     out = Path(args.out)

@@ -1,15 +1,14 @@
 """The radial topologies of a network: counted, and listed when few.
 
 The radial topologies are the spanning trees of the network with its
-substations merged and its always-closed lines contracted, and
-Kirchhoff's matrix-tree theorem counts them. When there are at most
-_ENUMERATION_CAP of them and they fit in _ENUMERATION_BYTES they are
-listed once per network: a GF(2) search over the contracted graph's
-cycle space yields every open set, each forest is laid out per bus
-(parent line, depth and feeding substation), and the forests are
-grouped by the distinct assignments of buses to substations they
-induce. _screen checks a chunk of listed forests against every rating
-and angle bound at once; optimize ranks and confirms them.
+substations merged and its always-closed lines contracted; Kirchhoff's
+matrix-tree theorem counts them. When there are few enough, a GF(2)
+search over the cycle space lists every open set once per network, and
+each forest is held as its open set and the id of its assignment (the
+substation feeding each bus), on which an hour's cost depends. optimize
+ranks the assignments and walks their forests in cost order
+(_in_rank_order); a forest is laid out (parent line and depth per bus)
+only when _screen first reaches it, and kept for later hours.
 """
 
 from __future__ import annotations
@@ -26,23 +25,31 @@ if TYPE_CHECKING:
     from .optimize import HourModel
 
 # A network is solved by ranked enumeration when it has at most
-# _ENUMERATION_CAP radial topologies and listing and ranking them takes at
-# most _ENUMERATION_BYTES (_forest_bytes); otherwise by branch and bound.
+# _ENUMERATION_CAP radial topologies and listing them takes at most
+# _ENUMERATION_BYTES (_forest_bytes); otherwise by branch and bound.
 # Measured on case-4 variants (bench/cap_crossover.py, BENCH_cap.json):
 # on 39 buses listing costs about 1 us and an hour 0.04-0.5 us per forest,
 # and enumeration, listing included, beat the branch and bound on every
 # hour up to the largest count tried, 398,545 (0.5 s + 0.07 s against
-# 2.9-4.6 s); the cap stops there. Memory is the other limit: listing
-# takes about 3 bytes per bus and forest (6 above 127 buses or 128
-# lines; _forest_bytes), while the branch and bound's own peak grows with
-# the square of the network (5 MB at 39 buses, 43 MB at 120, 262 MB at
-# 300, where an hour took 47 s against 0.02-0.04 s). The budget keeps a
-# forest set below that largest peak.
+# 2.9-4.6 s); the cap stops there. Memory is the other limit: a listed
+# forest takes its open set and 8 bytes, and listing briefly a few bits
+# per bus more, while the branch and bound's own peak grows with the
+# square of the network (5 MB at 39 buses, 43 MB at 120, 262 MB at 300,
+# where an hour took 47 s against 0.02-0.04 s). The budget keeps a forest
+# set below that largest peak.
 _ENUMERATION_CAP = 400_000
 _ENUMERATION_BYTES = 256 * 2**20
 
 # forests screened per vectorized batch while walking the ranked order
 _SCREEN_CHUNK = 256
+
+# forests labelled per vectorized batch while listing
+_LIST_CHUNK = 4096
+
+# layouts kept for later hours, per network: beyond this many forests
+# (32 screened chunks) a chunk is laid out for its screen alone; a case-4
+# day reaches about 6,700 of its 16,017 forests
+_KEPT_LAYOUTS = 32 * _SCREEN_CHUNK
 
 # the screen and the substation capacity pre-screen only discard forests
 # that evaluate_topology would reject: these tolerances are looser than
@@ -52,37 +59,91 @@ _SCREEN_RATING_TOL = 2e-6
 _SCREEN_ANGLE_TOL = 1e-8
 
 
+class _Layouts:
+    """The layouts of one network's listed forests, built on first use.
+
+    Rows of parent_line and depth hold the layouts built so far, forest
+    by forest; row[f] is forest f's row, or -1 when it has none. Once
+    _KEPT_LAYOUTS rows are too few for a chunk's new forests, the chunk
+    is laid out for its screen alone.
+    """
+
+    def __init__(self, net: Network, arcs, open_sets: np.ndarray,
+                 n_edges: int):
+        self.net, self.arcs = net, arcs
+        self.open_sets, self.n_edges = open_sets, n_edges
+        self.row = self.parent_line = self.depth = None
+        self.kept = 0
+
+    def get(self, chunk: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        if self.row is None:
+            room = min(len(self.open_sets), _KEPT_LAYOUTS)
+            self.row = np.full(len(self.open_sets), -1, dtype=np.int32)
+            self.parent_line = np.empty((room, self.net.n_buses),
+                                        dtype=_layout_dtype(self.net))
+            self.depth = np.empty_like(self.parent_line)
+        new = chunk[self.row[chunk] < 0]
+        if len(new) > len(self.depth) - self.kept:
+            return self.lay_out(chunk)
+        if len(new):
+            rows = np.arange(self.kept, self.kept + len(new))
+            parent_line, depth = self.lay_out(new)
+            self.parent_line[rows] = parent_line.T
+            self.depth[rows] = depth.T
+            self.row[new] = rows
+            self.kept += len(new)
+        row = self.row[chunk]
+        return self.parent_line[row].T, self.depth[row].T
+
+    def lay_out(self, forests: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        shut = _shut(self.open_sets[forests], self.n_edges)
+        return _spread(self.net, self.arcs, shut, layout=True)
+
+
 @dataclass(frozen=True)
 class _Forests:
     """The radial topologies of one network, listed when there are few.
 
-    count is Kirchhoff's count of spanning trees of the contracted graph
-    (substations merged into one root, always-closed lines contracted).
-    When it is at most _ENUMERATION_CAP and the forests fit in
-    _ENUMERATION_BYTES they are listed, forest f being the f-th open set
-    in lexicographic order of sorted line ids; otherwise the arrays are
-    None. Per bus b and forest f, parent_line[b, f] is the index into
-    net.lines of the line toward b's substation (-1 at substations) and
-    depth[b, f] the number of lines between them. An hour's cost depends
-    only on which substation feeds each bus, and many forests share that
-    assignment: assignments[b, a] is the position in net.substations of
-    the substation feeding b under distinct assignment a, and
-    assignment[f] is forest f's. lines holds the network's line ends,
-    ratings and reactances as arrays, and capacity[s] what substation s
-    can send out: the ratings of its lines, each plus the screen's slack.
+    count is Kirchhoff's count of spanning trees of the contracted graph.
+    Unless it is above _ENUMERATION_CAP or listing exceeds
+    _ENUMERATION_BYTES (then the arrays are None), forest f is the f-th
+    open set in lexicographic order of sorted line ids, and open_sets[f]
+    holds its open edges as positions in edge_lines, the indices into
+    net.lines of the contracted graph's flexible edges. assignments[b, a]
+    is the position in net.substations of the substation feeding bus b
+    under distinct assignment a, and assignment[f] is forest f's;
+    grouped[starts[a]:starts[a + 1]] lists assignment a's forests in
+    increasing order. lines holds the line ends, ratings and reactances
+    as arrays, and capacity[s] what substation s can send out: the
+    ratings of its lines, each plus the screen's slack. layouts builds
+    and keeps the layouts that layout() reads.
     """
 
     count: int | float          # a float only when above the cap
+    open_sets: np.ndarray | None = None
+    edge_lines: np.ndarray | None = None
     assignment: np.ndarray | None = None
     assignments: np.ndarray | None = None
-    parent_line: np.ndarray | None = None
-    depth: np.ndarray | None = None
+    grouped: np.ndarray | None = None
+    starts: np.ndarray | None = None
     lines: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
     capacity: np.ndarray | None = None
+    layouts: _Layouts | None = None
 
     @property
     def listed(self) -> bool:
         return self.assignment is not None
+
+    def closed_lines(self, f: int) -> np.ndarray:
+        """Indices into net.lines of forest f's closed flexible lines."""
+        return np.delete(self.edge_lines, self.open_sets[f])
+
+    def layout(self, chunk: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Per bus b and j-th forest f of chunk: parent_line[b, j], the
+        index into net.lines of the line toward b's substation (-1 at
+        substations), and depth[b, j], the number of lines between them.
+        Each forest is laid out once and kept (_KEPT_LAYOUTS)."""
+        return self.layouts.get(np.asarray(chunk))
 
 
 def _base_contraction(net: Network) -> DisjointSet:
@@ -261,129 +322,190 @@ def _open_sets(masks: list[int], rank: int, count: int) -> np.ndarray:
 
 
 def _layout_dtype(net: Network) -> np.dtype:
-    """int8 while bus and line indices fit it below its largest value, which
-    marks unreached buses during the build; int16 beyond."""
-    return np.min_scalar_type(-max(net.n_buses + 1, len(net.lines)))
+    """int8 while bus and line indices fit it, int16 beyond."""
+    return np.min_scalar_type(-max(net.n_buses, len(net.lines)))
 
 
-def _forest_bytes(net: Network, edges, count) -> float:
-    """Peak bytes of listing and ranking count forests.
-
-    Per forest, the build holds the layout's parent line, depth and
-    substation label per bus, the larger of the closed mask per edge and
-    the assignment packing's words, sort order and boundary flags, and 8
-    bytes of temporaries. An hour holds the parent lines, depths and
-    assignment ids, 48 bytes of ranking per forest and, per bus and
-    screened forest, about 56 bytes of the screen's level arrays. The
-    open sets, the distinct assignments and an hour's arrays over them
-    (2,767 assignments for case 4's 16,017 forests) stay below these
-    peaks.
-    """
-    n, itemsize = net.n_buses, _layout_dtype(net).itemsize
-    bits = max(1, (len(net.substations) - 1).bit_length())
-    words = -(-n // (64 // bits))
-    build = count * (3 * n * itemsize + max(len(edges), 8 * words + 17) + 8)
-    hour = count * (2 * n * itemsize + 8 + 48) + n * _SCREEN_CHUNK * 56
-    return max(build, hour)
+def _label_bits(net: Network) -> int:
+    """Bits that hold the position of any substation."""
+    return max(1, (len(net.substations) - 1).bit_length())
 
 
-def _layout(net: Network, closed: dict, count: int):
-    """Every forest's substation label, parent line and depth per bus.
+def _forest_bytes(net: Network, n_nodes: int, edges, count) -> float:
+    """Peak bytes of listing count forests, as _radial_forests does.
 
-    closed maps each line that can close to its per-forest closed mask
-    (None: always closed). Depths start at the dtype's largest value,
-    which marks a bus not yet reached, and are relaxed over closed lines,
-    depth[b] = depth[a] + 1 where that is shorter, in whole rows of
-    forests. In a spanning forest every bus has one path to its
-    substation, so the result does not depend on the order of the
-    relaxations; sweeping the lines in breadth-first order from the
-    substations, alternately forward and backward, settles a chain fed
-    from either end in a few sweeps.
+    Each forest keeps its open set, a 4-byte assignment id and a 4-byte
+    place in its group. Listing also holds per forest the larger of: the
+    open sets' sorted copy and 8-byte order; the labels packed into
+    64-bit words, plus one batch of _LIST_CHUNK forests' closed flag per
+    edge and reached flag and label per bus; the words with their 8-byte
+    order, one sorted word and 8 bytes of flags and ids. 128 KiB and 256
+    bytes per line cover the Python objects. The assignments' labels,
+    n_buses bytes each, are left out: their number is known only once
+    listed, and far below the forests' (2,767 for case 4's 16,017; 8,491
+    for 398,545 on a 150-bus variant). An hour adds arrays over the
+    assignments, the kept layouts (_KEPT_LAYOUTS forests of 2 * n_buses
+    entries) and a screened chunk's arrays, about 40 bytes per bus and
+    forest.
     """
     n = net.n_buses
-    small = _layout_dtype(net)
-    depth = np.full((n, count), np.iinfo(small).max, dtype=small)
-    label = np.zeros((n, count), dtype=small)
-    parent_line = np.full((n, count), -1, dtype=small)
-    adjacent: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    opened = (len(edges) - n_nodes + 1) * np.min_scalar_type(-len(edges)).itemsize
+    words = 8 * -(-n // (64 // _label_bits(net)))
+    batch = min(count, _LIST_CHUNK) * (len(edges) + 2 * n)
+    return float(count * opened + 2**17 + 256 * len(net.lines)
+                 + max(count * (opened + 8), count * words + batch,
+                       count * (words + 24)))
+
+
+def _arcs(net: Network, edges) -> list[tuple[int, int, int, int]]:
+    """Each line that can close, as its two arcs (a, b, line, edge).
+
+    edge is the line's position among the contracted graph's flexible
+    edges, or -1 for an always-closed line. Lines come in breadth-first
+    order from the substations, and arcs into substations are left out.
+    """
+    edge_of = {k: e for e, (k, _, _) in enumerate(edges)}
+    edge_of.update((k, -1) for k, line in enumerate(net.lines)
+                   if not line.flexible)
+    adjacent: list[list[tuple[int, int]]] = [[] for _ in range(net.n_buses)]
     for k, line in enumerate(net.lines):
-        if k in closed:
+        if k in edge_of:
             adjacent[line.from_bus].append((k, line.to_bus))
             adjacent[line.to_bus].append((k, line.from_bus))
     subs = set(net.substations)
-    for s, b in enumerate(net.substations):
-        depth[b] = 0
-        label[b] = s
-    # each line's two arcs side by side, lines in breadth-first order
     arcs, order, seen, taken = [], list(net.substations), set(subs), set()
     for a in order:
         for k, b in adjacent[a]:
             if k in taken:
                 continue
             taken.add(k)
-            arcs += [(u, v, k, closed[k]) for u, v in ((a, b), (b, a))
+            arcs += [(u, v, k, edge_of[k]) for u, v in ((a, b), (b, a))
                      if v not in subs]
             if b not in seen:
                 seen.add(b)
                 order.append(b)
-    # sweep forward and backward until no arc reaches a new bus; an arc
-    # needs another look only once its source has gained entries since
-    reached = np.empty(count, dtype=bool)
-    stamp = [0] * n                        # step of each bus's last gain
+    return arcs
+
+
+def _shut(open_sets: np.ndarray, n_edges: int) -> np.ndarray:
+    """Per edge and forest of a batch: whether the forest closes the edge."""
+    shut = np.ones((n_edges, len(open_sets)), dtype=bool)
+    shut[open_sets.T, np.arange(len(open_sets))] = False
+    return shut
+
+
+def _spread(net: Network, arcs, shut: np.ndarray, layout: bool):
+    """Reach every bus of a batch of forests from its substation.
+
+    shut[e, j] says whether the batch's j-th forest closes edge e. Returns
+    per bus and forest the position in net.substations of the feeding
+    substation or, when layout is true, the parent line (an index into
+    net.lines, -1 at substations) and the depth.
+
+    Arcs are looked at in whole rows of forests. A bus is first reached
+    over a closed line from its parent, the only way to its substation,
+    so each entry is written once. Sweeping the arcs in breadth-first
+    order from the substations, alternately forward and backward, settles
+    a chain fed from either end in a few sweeps; an arc is looked at
+    again only once its source has gained entries, and not once its
+    target is reached in every forest.
+    """
+    n, width = net.n_buses, shut.shape[1]
+    reached = np.zeros((n, width), dtype=bool)
+    if layout:
+        small = _layout_dtype(net)
+        depth = np.zeros((n, width), dtype=small)
+        parent_line = np.full((n, width), -1, dtype=small)
+        below = np.empty(width, dtype=small)
+    else:
+        label = np.zeros((n, width), dtype=np.min_scalar_type(-len(net.substations)))
+    count = [0] * n                        # forests reaching each bus
+    stamp = [-1] * n                       # step of each bus's last gain
+    for s, b in enumerate(net.substations):
+        reached[b], count[b], stamp[b] = True, width, 0
+        if not layout:
+            label[b] = s
+    rows, shut = list(reached), list(shut)
     looked = [-1] * len(arcs)              # step of each arc's last look
+    gained = np.empty(width, dtype=bool)
     step, sweep, busy = 0, 0, True
     while busy:
         busy = False
         for i in (range(len(arcs)) if sweep % 2 == 0
                   else range(len(arcs) - 1, -1, -1)):
-            a, b, k, shut = arcs[i]
-            if stamp[a] <= looked[i]:
+            a, b, k, e = arcs[i]
+            if stamp[a] <= looked[i] or count[b] == width:
                 continue
             busy = True
             step += 1
             looked[i] = step
-            # depth[a] + 1 < depth[b], written so the unreached mark cannot overflow
-            np.less(depth[a], depth[b] - 1, out=reached)
-            if shut is not None:
-                reached &= shut
-            if reached.any():
+            np.greater(rows[a], rows[b], out=gained)
+            if e >= 0:
+                gained &= shut[e]
+            got = np.count_nonzero(gained)
+            if got:
                 step += 1
                 stamp[b] = step
-                np.copyto(depth[b], depth[a] + 1, where=reached)
-                np.copyto(label[b], label[a], where=reached)
-                np.copyto(parent_line[b], k, where=reached)
+                count[b] += got
+                rows[b] |= gained
+                if layout:
+                    np.add(depth[a], 1, out=below)
+                    np.copyto(depth[b], below, where=gained)
+                    parent_line[b][gained] = k
+                else:
+                    np.copyto(label[b], label[a], where=gained)
         sweep += 1
-    return label, parent_line, depth
+    return (parent_line, depth) if layout else label
 
 
-def _assignments(label: np.ndarray, n_subs: int) -> tuple[np.ndarray, np.ndarray]:
-    """Each column's id among the distinct columns of label, and those columns.
-
-    Columns (forests) are packed a few bits per bus into 64-bit words and
-    lexsorted, so equal columns become neighbours and share an id.
-    """
-    count = label.shape[1]
-    bits = np.uint64(max(1, (n_subs - 1).bit_length()))
-    per_word = 64 // int(bits)
-    words = []
-    for lo in range(0, label.shape[0], per_word):
-        word = np.zeros(count, dtype=np.uint64)
-        for row in label[lo:lo + per_word]:
-            word <<= bits
+def _pack(words: np.ndarray, label: np.ndarray, bits: int) -> None:
+    """Pack label's rows into words, bits per bus, each word's first bus
+    highest."""
+    per_word, shift = 64 // bits, np.uint64(bits)
+    for w, word in enumerate(words):
+        for row in label[w * per_word:(w + 1) * per_word]:
+            word <<= shift
             word |= row.astype(np.uint64)
-        words.append(word)
+
+
+def _assignments(net: Network, arcs, open_sets: np.ndarray, n_edges: int):
+    """Each forest's assignment id, the distinct assignments as labels per
+    bus, and the forests grouped by assignment with the groups' starts.
+
+    Forests are labelled a batch at a time and their labels packed a few
+    bits per bus into 64-bit words. A stable lexsort of the words makes
+    equal assignments neighbours, with their forests in increasing order,
+    and the distinct words unpack to the assignments' labels.
+    """
+    count, n = len(open_sets), net.n_buses
+    bits = _label_bits(net)
+    per_word = 64 // bits
+    words = np.zeros((-(-n // per_word), count), dtype=np.uint64)
+    for lo in range(0, count, _LIST_CHUNK):
+        batch = open_sets[lo:lo + _LIST_CHUNK]
+        _pack(words[:, lo:lo + len(batch)],
+              _spread(net, arcs, _shut(batch, n_edges), layout=False), bits)
     order = np.lexsort(words)
     first = np.zeros(count, dtype=bool)
     first[:1] = True
-    while words:
-        word = words.pop()[order]
+    for word in words:
+        word = word[order]
         first[1:] |= word[1:] != word[:-1]
     del word
-    sorted_ids = np.cumsum(first)
-    sorted_ids -= 1
-    ids = np.empty_like(sorted_ids)
-    ids[order] = sorted_ids
-    return ids, label[:, order[first]]
+    starts = np.flatnonzero(first)
+    assignment = np.empty(count, dtype=np.int32)
+    assignment[order] = np.cumsum(first, dtype=np.int32) - 1
+    keys = words[:, order[starts]]
+    del words, first
+    assignments = np.empty((n, len(starts)),
+                           dtype=np.min_scalar_type(-len(net.substations)))
+    mask = np.uint64((1 << bits) - 1)
+    for b in range(n):
+        w, j = divmod(b, per_word)
+        width = min(per_word, n - w * per_word)
+        assignments[b] = (keys[w] >> np.uint64((width - 1 - j) * bits)) & mask
+    return (assignment, assignments, order.astype(np.int32),
+            np.append(starts, count))
 
 
 def _radial_forests(net: Network) -> _Forests:
@@ -391,35 +513,66 @@ def _radial_forests(net: Network) -> _Forests:
     n_nodes, edges = _contracted_edges(net)
     count = _spanning_tree_count(n_nodes, edges)
     if (count > _ENUMERATION_CAP
-            or _forest_bytes(net, edges, count) > _ENUMERATION_BYTES):
+            or _forest_bytes(net, n_nodes, edges, count) > _ENUMERATION_BYTES):
         return _Forests(count)
     masks, rank = _cycle_masks(n_nodes, edges)
-    opened = _open_sets(masks, rank, count)
-    shut = np.ones((len(edges), count), dtype=bool)
-    shut[opened.T, np.arange(count)] = False
-    del opened
-    # per line that can close, its closed mask by forest (None: always)
-    closed: dict[int, np.ndarray | None] = {
-        k: None for k, line in enumerate(net.lines) if not line.flexible}
-    for e, (k, _, _) in enumerate(edges):
-        closed[k] = shut[e]
-    label, parent_line, depth = _layout(net, closed, count)
-    del closed, shut
-    assignment, assignments = _assignments(label, len(net.substations))
-    del label
+    open_sets = _open_sets(masks, rank, count)
+    arcs = _arcs(net, edges)
+    assignment, assignments, grouped, starts = _assignments(
+        net, arcs, open_sets, len(edges))
     lines = (np.array([(l.from_bus, l.to_bus) for l in net.lines], dtype=np.intp),
              np.array([l.rating for l in net.lines]),
              np.array([l.reactance for l in net.lines]))
     capacity = np.array([sum(l.rating + _SCREEN_RATING_TOL for l in net.lines
                              if b in (l.from_bus, l.to_bus))
                          for b in net.substations])
-    return _Forests(count, assignment, assignments, parent_line, depth,
-                    lines, capacity)
+    edge_lines = np.array([k for k, _, _ in edges], dtype=np.intp)
+    return _Forests(count, open_sets, edge_lines, assignment, assignments,
+                    grouped, starts, lines, capacity,
+                    _Layouts(net, arcs, open_sets, len(edges)))
+
+
+def _in_rank_order(forests: _Forests, ranked: np.ndarray, cost: np.ndarray):
+    """The forests of the ranked assignments, in chunks of _SCREEN_CHUNK.
+
+    ranked lists assignments in order of their costs, cost[i] being
+    ranked[i]'s. Forests come in order of their assignment's cost and,
+    among equal costs, of forest index, so the smallest sorted open set
+    comes first. Assignments are expanded a block at a time, each block
+    ending with a tie group, only as far as the chunks are taken.
+    """
+    grouped, starts = forests.grouped, forests.starts
+    first = starts[ranked]
+    sizes = starts[ranked + 1] - first
+    ends = np.cumsum(sizes)                   # forests up to each position
+    cuts = np.flatnonzero(cost[1:] != cost[:-1]) + 1
+    tie = np.zeros(len(ranked), dtype=np.intp)
+    tie[cuts] = 1
+    np.cumsum(tie, out=tie)                   # tie group of each position
+    past = np.append(cuts, len(ranked))[tie]  # one past each tie group
+    held, i = grouped[:0], 0
+    while i < len(ranked):
+        done = ends[i] - sizes[i]
+        k = np.searchsorted(ends, done + _SCREEN_CHUNK - len(held))
+        j = past[min(k, len(ranked) - 1)]
+        lens = sizes[i:j]
+        block = grouped[np.arange(done, ends[j - 1])
+                        + np.repeat(first[i:j] - ends[i:j] + lens, lens)]
+        if tie[j - 1] - tie[i] + 1 < j - i:   # merge tied assignments' forests
+            block = block[np.lexsort((block, np.repeat(tie[i:j], lens)))]
+        run = np.concatenate((held, block))
+        cut = len(run) - len(run) % _SCREEN_CHUNK
+        for lo in range(0, cut, _SCREEN_CHUNK):
+            yield run[lo:lo + _SCREEN_CHUNK]
+        held, i = run[cut:], j
+    if len(held):
+        yield held
 
 
 def _screen(model: HourModel, forests: _Forests, chunk: np.ndarray) -> np.ndarray:
     """Which forests of chunk keep every rating and angle bound.
 
+    The chunk's forests are laid out first, those not yet kept only now.
     Flows are subtree load sums, accumulated from the deepest level up;
     angles then drop by flow times reactance from each substation down.
     Arrays are bus-major and flattened: entry b * width + j is bus b in
@@ -428,25 +581,35 @@ def _screen(model: HourModel, forests: _Forests, chunk: np.ndarray) -> np.ndarra
     net, opts = model.net, model.opts
     ends, rating, reactance = forests.lines
     width = len(chunk)
-    depth = forests.depth[:, chunk].ravel()
+    parent_line, depth = forests.layout(chunk)
+    depth = depth.ravel()
     by_depth = np.argsort(depth, kind="stable")
     starts = np.searchsorted(depth[by_depth], np.arange(1, int(depth.max()) + 2))
     entry = by_depth[starts[0]:]              # every non-substation entry
-    bus, col = np.divmod(entry, width)
-    line = forests.parent_line[:, chunk].ravel()[entry].astype(np.intp)
-    up = np.where(ends[line, 0] == bus, ends[line, 1], ends[line, 0]) * width + col
+    col = entry % width
+    line = parent_line.ravel()[entry]
+    # the entry of the parent line's other end, (ends - bus) * width + col
+    up = ends.sum(axis=1)[line] * width
+    up -= entry
+    up += col
+    up += col
     levels = [slice(a - starts[0], b - starts[0])
               for a, b in zip(starts[:-1], starts[1:])]
 
     flow = np.repeat(model.loads, width)
     for level in reversed(levels):
         np.add.at(flow, up[level], flow[entry[level]])
+    carried = flow[entry]
+    limit = rating[line]
+    limit += _SCREEN_RATING_TOL
     ok = np.ones(width, dtype=bool)
-    ok[col[flow[entry] > rating[line] + _SCREEN_RATING_TOL]] = False
-    drop = flow[entry] * reactance[line]
-    angle = np.zeros_like(flow)
+    ok[col[carried > limit]] = False
+    del limit
+    carried *= reactance[line]                # now each line's angle drop
+    angle = flow                              # every non-substation entry is rewritten
+    angle[by_depth[:starts[0]]] = 0.0
     for level in levels:
-        angle[entry[level]] = angle[up[level]] - drop[level]
+        angle[entry[level]] = angle[up[level]] - carried[level]
     angle = angle.reshape(net.n_buses, width)
     ok &= np.all(angle >= opts.angle_lo - _SCREEN_ANGLE_TOL, axis=0)
     ok &= np.all(angle <= opts.angle_hi + _SCREEN_ANGLE_TOL, axis=0)

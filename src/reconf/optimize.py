@@ -29,7 +29,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .dcflow import check_limits, solve_flows
-from .forests import _SCREEN_CHUNK, _base_contraction, _radial_forests, _screen
+from .forests import _base_contraction, _in_rank_order, _radial_forests, _screen
 from .model import (
     Network,
     StructureError,
@@ -302,6 +302,10 @@ def evaluate_topology(net: Network, closed_flexible, loads, prices_t,
 # ranked enumeration over the listed forests
 
 
+# assignments priced per vectorized batch
+_PRICE_BLOCK = 512
+
+
 def _solve_by_enumeration(model: HourModel, forests: _Forests) -> HourSolution:
     """The cheapest forest that passes exact physics.
 
@@ -311,31 +315,33 @@ def _solve_by_enumeration(model: HourModel, forests: _Forests) -> HourSolution:
     load some substation beyond what its lines can carry are dropped
     whole: a substation sends out what it serves less its own bus's
     load, and no line can carry more than its rating. The remaining
-    forests are ranked by (cost, forest index), screened in that order
-    and confirmed with evaluate_topology; the first confirmed forest is
-    optimal. Among equal costs the lexicographically smallest open set
-    wins.
+    assignments are ranked by cost, and their forests are screened in
+    (cost, forest index) order and confirmed with evaluate_topology; the
+    first confirmed forest is optimal. Among equal costs the
+    lexicographically smallest open set wins.
     """
     net, loads = model.net, model.loads
     subs = list(net.substations)
     labels = forests.assignments
-    # summed bus by bus, as a single forest's cost would be: each forest
-    # gets its own cost to the last bit, so ties between forests are exact
-    cost = np.zeros(labels.shape[1])
-    for b in range(net.n_buses):
-        cost += loads[b] * model.prices[labels[b]]
-    bus_loads = np.broadcast_to(loads[:, None], labels.shape)
-    served = np.array([np.add.reduce(bus_loads, axis=0, where=labels == s)
-                       for s in range(len(subs))])
+    cost = np.empty(labels.shape[1])
+    served = np.empty((len(subs), labels.shape[1]))
+    for lo in range(0, labels.shape[1], _PRICE_BLOCK):
+        part = labels[:, lo:lo + _PRICE_BLOCK]
+        # summed bus by bus (a reduction over rows adds them in order), as
+        # a single forest's cost would be, so that ties are exact
+        priced = model.prices[part]
+        priced *= loads[:, None]
+        np.add.reduce(priced, axis=0, out=cost[lo:lo + _PRICE_BLOCK])
+        bus_loads = np.broadcast_to(loads[:, None], part.shape)
+        for s in range(len(subs)):
+            np.add.reduce(bus_loads, axis=0, where=part == s,
+                          out=served[s, lo:lo + _PRICE_BLOCK])
     served -= loads[subs, None]
-    fits = np.all(served <= forests.capacity[:, None], axis=0)[forests.assignment]
-    keep = np.flatnonzero(fits)
-    order = keep[np.argsort(cost[forests.assignment[keep]], kind="stable")]
-    for start in range(0, len(order), _SCREEN_CHUNK):
-        chunk = order[start:start + _SCREEN_CHUNK]
+    ranked = np.flatnonzero(np.all(served <= forests.capacity[:, None], axis=0))
+    ranked = ranked[np.argsort(cost[ranked], kind="stable")]
+    for chunk in _in_rank_order(forests, ranked, cost[ranked]):
         for f in chunk[_screen(model, forests, chunk)]:
-            closed = {net.lines[k].id for k in forests.parent_line[:, f]
-                      if k >= 0 and net.lines[k].flexible}
+            closed = {net.lines[k].id for k in forests.closed_lines(f)}
             sol = evaluate_topology(net, closed, model.loads, model.prices,
                                     model.opts)
             if sol is not None:
@@ -514,16 +520,25 @@ def _greedy_closed(milp: _Milp, order: list[str]) -> frozenset[str] | None:
 
 
 def _polish(milp: _Milp, closed, sol: HourSolution) -> HourSolution:
-    """Greedy single-swap descent from the closed set whose physics is sol."""
-    model = milp.model
+    """Greedy single-swap descent from the closed set whose physics is sol.
+
+    Removing a closed line splits the contracted tree in two; a swap stays
+    radial only when the added line joins the two sides again, so other
+    swaps are skipped before their physics.
+    """
+    model, lines, c = milp.model, milp.net.lines_by_id, milp.contract
     flex = sorted(milp.j_col)
     closed = set(closed)
     improved = True
     while improved:
         improved = False
         for out_id in sorted(closed):
+            split = milp.base_dsu.copy()
+            for lid in closed - {out_id}:
+                split.unite(c[lines[lid].from_bus], c[lines[lid].to_bus])
             for in_id in flex:
-                if in_id in closed:
+                if in_id in closed or split.joined(
+                        c[lines[in_id].from_bus], c[lines[in_id].to_bus]):
                     continue
                 cand = frozenset((closed - {out_id}) | {in_id})
                 swapped = evaluate_topology(milp.net, cand, model.loads,

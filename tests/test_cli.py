@@ -1,16 +1,21 @@
+import csv
+import hashlib
 import json
 import os
+import shutil
 import subprocess
 import sys
 from decimal import Decimal
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import reconf
 from hour_oracle import enumerate_hour
 from reconf import cli, optimize
 from reconf.cli import main
+from reconf.dcflow import solve_flows
 from reconf.optimize import apply_epsilon_loads
 from reconf.model import parse_network
 
@@ -244,13 +249,15 @@ class TestSolve:
 
     def test_enumerated_solve_never_imports_the_lp_engine(self, tiny):
         # a fresh interpreter: this one has long since imported reconf.lp;
-        # nor does a solve import the case generator
+        # nor does a solve import the case generator, the report's audit
+        # or OpenSSL's hashing (about 3.7 MB resident)
         script = (
             "import sys\n"
             "from reconf.cli import main\n"
             "code = main(sys.argv[1:])\n"
             "print(code, 'reconf.lp' in sys.modules,"
-            " 'reconf.casegen' in sys.modules)\n")
+            " 'reconf.casegen' in sys.modules, 'reconf.audit' in sys.modules,"
+            " '_hashlib' in sys.modules)\n")
         argv = ["solve", "--network", tiny["network"], "--loads", tiny["loads"],
                 "--prices", tiny["prices"], "--out", str(tiny["dir"] / "run")]
         out = subprocess.run(
@@ -259,7 +266,7 @@ class TestSolve:
             env={**{k: v for k, v in os.environ.items()
                     if not k.startswith("RECONF_")},
                  "PYTHONPATH": str(Path(reconf.__file__).parents[1])})
-        assert out.stdout.split()[-3:] == ["0", "False", "False"]
+        assert out.stdout.split()[-5:] == ["0", "False", "False", "False", "False"]
 
     def test_loads_header_mismatch(self, tiny, tmp_path):
         bad = _write(tmp_path / "bad_loads.csv",
@@ -323,3 +330,80 @@ class TestReport:
         code = main(["report", str(run), "--out", str(tiny["dir"] / "rep")])
         assert code == 1
         assert "not radial" in capsys.readouterr().err
+
+
+@pytest.fixture(scope="module")
+def case1_run(tmp_path_factory):
+    """The generated case 1 (seed 0, diurnal prices) solved for its day."""
+    base = tmp_path_factory.mktemp("case1")
+    assert main(["generate", "--case", "1", "--out", str(base)]) == 0
+    assert main(["solve", "--network", str(base / "network.json"),
+                 "--loads", str(base / "loads.csv"),
+                 "--prices", str(base / "prices.csv"),
+                 "--out", str(base / "run")]) == 0
+    return base
+
+
+class TestReportAudit:
+    """report recomputes every hour from the inputs the run recorded."""
+
+    def copy(self, case1_run, tmp_path):
+        run = tmp_path / "run"
+        shutil.copytree(case1_run / "run", run)
+        return run
+
+    def report(self, run, tmp_path):
+        return main(["report", str(run), "--out", str(tmp_path / "rep")])
+
+    def test_run_records_its_inputs(self, case1_run):
+        run = json.loads((case1_run / "run" / "run.json").read_text())
+        for what in ("network", "loads", "prices"):
+            data = Path(run[what]).read_bytes()
+            assert run["sha256"][what] == hashlib.sha256(data).hexdigest()
+
+    def test_untouched_run_passes(self, case1_run, tmp_path):
+        assert self.report(self.copy(case1_run, tmp_path), tmp_path) == 0
+
+    def test_edited_hour_cost_is_refused(self, case1_run, tmp_path, capsys):
+        run = self.copy(case1_run, tmp_path)
+        rows = (run / "cost.csv").read_text().splitlines()
+        assert rows[1] == "1,21.070664"
+        rows[1] = "1,20.000000"
+        (run / "cost.csv").write_text("\n".join(rows) + "\n")
+        assert self.report(run, tmp_path) == 1
+        assert "cost.csv row 2" in capsys.readouterr().err
+
+    def test_radial_schedule_over_a_rating_is_refused(self, case1_run, tmp_path,
+                                                      capsys):
+        # closing L(10,38), L(18,19), L(37,38) and L(5,6) in hour 15 is
+        # radial but puts 0.429 MW on L(34,35), rated 0.407 MW
+        run = self.copy(case1_run, tmp_path)
+        net = parse_network((case1_run / "network.json").read_text())
+        loads = np.loadtxt(case1_run / "loads.csv", delimiter=",", skiprows=1)
+        closed = {"L(10,38)", "L(18,19)", "L(37,38)", "L(5,6)"}
+        flows = solve_flows(net, closed | {l.id for l in net.nonflexible_lines},
+                            apply_epsilon_loads(loads[14, 1:]))
+        rating = net.lines_by_id["L(34,35)"].rating
+        assert flows.flow("L(34,35)") == pytest.approx(0.429, abs=5e-4)
+        assert abs(flows.flow("L(34,35)")) > rating == pytest.approx(0.407, abs=5e-4)
+        with open(run / "schedule.csv", newline="") as fh:
+            rows = list(csv.reader(fh))
+        rows[15] = ["15"] + [str(int(lid in closed)) for lid in rows[0][1:]]
+        with open(run / "schedule.csv", "w", newline="") as fh:
+            csv.writer(fh, lineterminator="\n").writerows(rows)
+        assert self.report(run, tmp_path) == 1
+        assert "hour 15 schedule breaks" in capsys.readouterr().err
+
+    def test_changed_input_is_refused(self, case1_run, tmp_path, capsys):
+        base = tmp_path / "inputs"
+        shutil.copytree(case1_run, base, ignore=shutil.ignore_patterns("run"))
+        run = tmp_path / "run"
+        assert main(["solve", "--network", str(base / "network.json"),
+                     "--loads", str(base / "loads.csv"),
+                     "--prices", str(base / "prices.csv"), "--out", str(run),
+                     "--horizon", "2"]) == 0
+        assert self.report(run, tmp_path) == 0
+        prices = (base / "prices.csv").read_text().replace("\n2,", "\n2,1", 1)
+        (base / "prices.csv").write_text(prices)
+        assert self.report(run, tmp_path) == 1
+        assert "changed since the solve" in capsys.readouterr().err

@@ -1,4 +1,5 @@
 import hashlib
+import tracemalloc
 from itertools import combinations
 
 import numpy as np
@@ -7,9 +8,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hour_oracle import enumerate_hour
+import reconf.forests
 from reconf import optimize
 from reconf.casegen import FixtureSpec, day_problem
-from reconf.forests import _ENUMERATION_CAP, _radial_forests
+from reconf.dcflow import solve_flows
+from reconf.forests import (
+    _ENUMERATION_CAP,
+    _contracted_edges,
+    _forest_bytes,
+    _radial_forests,
+    _spanning_tree_count,
+)
 from reconf.lp import LinearProgram
 from reconf.model import Bus, Line, Network, StructureError, is_spanning_forest
 from reconf.optimize import (
@@ -282,6 +291,25 @@ class TestBranchAndBound:
             10 * loads[:19].sum() + 12 * loads[19], rel=1e-9)
         assert stats.nodes == 0
 
+    def test_polish_skips_swaps_that_break_radiality(self, monkeypatch):
+        # the grid hour above: of the 236 candidates single swaps give,
+        # 159 are no spanning forest and need no physics
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args[1])
+            return evaluate_topology(*args, **kwargs)
+
+        monkeypatch.setattr(optimize, "evaluate_topology", counted)
+        loads = np.linspace(0.005, 0.02, 20)
+        model = build_hour_model(grid_net(), loads, [10.0, 12.0])
+        sol, stats = _solve_milp(model, SolverOptions(max_nodes=1_000))
+        assert sol.cost == pytest.approx(
+            10 * loads[:19].sum() + 12 * loads[19], rel=1e-9)
+        assert stats.nodes == 0
+        assert len(calls) < 236
+        assert all(is_spanning_forest(model.net, set(closed)) for closed in calls)
+
     def test_substation_join_pruned(self):
         # the only size-2 closed sets avoiding a substation bridge are
         # one line per bus; closing both s-lines of one bus never appears
@@ -392,20 +420,26 @@ def forest_labels(forests):
     return forests.assignments[:, forests.assignment]
 
 
+def layouts(forests):
+    """Every listed forest's parent lines and depths, per bus and forest."""
+    return forests.layout(np.arange(forests.count))
+
+
 def listed_closed_sets(net, forests):
     """Each listed forest's closed flexible lines, read off its parent lines.
 
     Also walks every bus's parent lines to its substation: the walk must
-    use lines at the bus, its length must be the stored depth and its end
-    the rebuilt label. The distinct assignments must all be used and
+    use lines at the bus, its length must be the laid-out depth and its
+    end the rebuilt label. The distinct assignments must all be used and
     differ from each other.
     """
     subs = {b: s for s, b in enumerate(net.substations)}
     labels = forest_labels(forests)
+    parent_line, depths = layouts(forests)
     out = []
     for f in range(forests.count):
-        lines = [net.lines[k] for k in forests.parent_line[:, f] if k >= 0]
-        assert sum(1 for k in forests.parent_line[:, f] if k < 0) == len(net.substations)
+        lines = [net.lines[k] for k in parent_line[:, f] if k >= 0]
+        assert sum(1 for k in parent_line[:, f] if k < 0) == len(net.substations)
         assert is_spanning_forest(net, {l.id for l in lines})
         out.append(frozenset(l.id for l in lines if l.flexible))
         known = {b: (0, s) for b, s in subs.items()}
@@ -413,7 +447,7 @@ def listed_closed_sets(net, forests):
             path = []
             while b not in known:
                 path.append(b)
-                line = net.lines[forests.parent_line[b, f]]
+                line = net.lines[parent_line[b, f]]
                 assert b in (line.from_bus, line.to_bus)
                 b = line.to_bus if line.from_bus == b else line.from_bus
             depth, label = known[b]
@@ -421,11 +455,31 @@ def listed_closed_sets(net, forests):
                 depth += 1
                 known[bus] = (depth, label)
         assert [known[b] for b in range(net.n_buses)] == list(
-            zip(forests.depth[:, f].tolist(), labels[:, f].tolist()))
+            zip(depths[:, f].tolist(), labels[:, f].tolist()))
     columns = {tuple(col) for col in forests.assignments.T.tolist()}
     assert len(columns) == forests.assignments.shape[1]
     assert set(forests.assignment.tolist()) == set(range(len(columns)))
     return out
+
+
+def wide_case4():
+    """Case 4 with 50-bus feeders and two more ties: 398,545 radial
+    topologies over 150 buses. Reactances shrink with the square of the
+    feeder length to keep the angle drops of case 4."""
+    scale = (13 / 50) ** 2
+    problem = day_problem(FixtureSpec(case_id=4, feeder_size=50,
+                                      reactance_range=(0.01 * scale, 0.1 * scale)))
+    net = problem.net
+    extra = [Line("t1", 3, 53, 0.05, 1.0, True),
+             Line("t2", 61, 109, 0.05, 1.0, True)]
+    net = Network(net.buses, net.lines + tuple(extra), net.base_mva)
+    return DayProblem(net, problem.loads, problem.prices)
+
+
+@pytest.fixture(scope="module")
+def wide_listed():
+    problem = wide_case4()
+    return problem, _radial_forests(problem.net)
 
 
 class TestForestSet:
@@ -461,7 +515,7 @@ class TestForestSet:
                     _line("s0", 0, 1), _line("s4", 3, 4), _line("t", 2, 4)])
         forests = self.check(net, 3)
         # open {s0, s4}, {s0, t}, {s4, t}: bus 3 fed via t, s4, then s0
-        assert forests.depth[3].tolist() == [2, 1, 3]
+        assert layouts(forests)[1][3].tolist() == [2, 1, 3]
 
     def test_flexible_line_with_joined_ends(self):
         net = _net([_bus(0, True), _bus(1), _bus(2), _bus(3)],
@@ -470,7 +524,7 @@ class TestForestSet:
                     _line("loop", 0, 2), _line("c", 2, 3), _line("d", 0, 3)])
         forests = self.check(net, 2)
         loop = [l.id for l in net.lines].index("loop")
-        assert not np.any(forests.parent_line == loop)
+        assert not np.any(layouts(forests)[0] == loop)
 
     def test_single_radial_topology(self):
         net = _net([_bus(0, True), _bus(1), _bus(2)],
@@ -478,7 +532,7 @@ class TestForestSet:
                     _line("b", 1, 2, flexible=False)])
         forests = self.check(net, 1)
         assert forest_labels(forests).tolist() == [[0], [0], [0]]
-        assert forests.depth.tolist() == [[0], [1], [2]]
+        assert layouts(forests)[1].tolist() == [[0], [1], [2]]
 
     def test_no_radial_topology_is_infeasible(self):
         # bus 2 has no line at all
@@ -491,6 +545,7 @@ class TestForestSet:
     def test_many_topologies_go_to_branch_and_bound(self):
         net = grid_net()
         forests = _radial_forests(net)
+        assert _ENUMERATION_CAP == 400_000
         assert forests.count > _ENUMERATION_CAP
         assert not forests.listed
 
@@ -504,7 +559,7 @@ class TestForestSet:
         problem = day_problem(spec)
         forests = _radial_forests(problem.net)
         assert forests.count == 214 and forests.listed
-        assert forests.parent_line.dtype == np.int16
+        assert layouts(forests)[0].dtype == np.int16
         listed = listed_closed_sets(problem.net, forests)
         assert sorted(map(sorted, listed)) == sorted(
             map(sorted, radial_closed_sets(problem.net)))
@@ -513,16 +568,67 @@ class TestForestSet:
         assert solve_hour(model, forests=forests).cost == pytest.approx(
             branch_and_bound(model).cost, rel=1e-9)
 
-    def test_many_buses_over_the_byte_budget_go_to_branch_and_bound(self):
-        # case 4 with 50-bus feeders and two more ties: 398,545 topologies,
-        # under the cap, but listing them over 150 buses would take 430 MiB
-        net = day_problem(FixtureSpec(case_id=4, feeder_size=50)).net
-        extra = [Line("t1", 3, 53, 0.05, 1.0, True),
-                 Line("t2", 61, 109, 0.05, 1.0, True)]
-        net = Network(net.buses, net.lines + tuple(extra), net.base_mva)
-        forests = _radial_forests(net)
+    def test_many_buses_over_the_byte_budget_go_to_branch_and_bound(
+            self, wide_listed, monkeypatch):
+        # 398,545 topologies over 150 buses, under the cap: each is held as
+        # its open set and assignment id, so listing them fits the budget;
+        # a budget below the estimate sends the network to the branch and bound
+        problem, forests = wide_listed
         assert forests.count == 398_545 <= _ENUMERATION_CAP
-        assert not forests.listed
+        assert forests.listed
+        n_nodes, edges = _contracted_edges(problem.net)
+        estimate = _forest_bytes(problem.net, n_nodes, edges, forests.count)
+        monkeypatch.setattr(reconf.forests, "_ENUMERATION_BYTES", estimate - 1)
+        assert not _radial_forests(problem.net).listed
+
+    def test_many_buses_cost_what_listing_every_layout_gave(self, wide_listed):
+        # the costs of these hours when every forest was laid out up front
+        problem, forests = wide_listed
+        for hour, cost in ((8, 108.3480828057246), (15, 207.14734795232107),
+                           (20, 396.30242286406894)):
+            model = build_hour_model(problem.net,
+                                     apply_epsilon_loads(problem.loads[hour - 1]),
+                                     problem.prices[hour - 1])
+            assert solve_hour(model, forests=forests).cost == pytest.approx(
+                cost, rel=1e-12)
+
+    @pytest.mark.parametrize("wide", [False, True])
+    def test_byte_estimate_bounds_the_listing_peak(self, wide):
+        net = wide_case4().net if wide else day_problem(FixtureSpec(case_id=4)).net
+        n_nodes, edges = _contracted_edges(net)
+        estimate = _forest_bytes(net, n_nodes, edges,
+                                 _spanning_tree_count(n_nodes, edges))
+        tracemalloc.start()
+        try:
+            forests = _radial_forests(net)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert forests.listed
+        assert peak <= estimate <= 1.5 * peak
+
+    def test_tied_assignments_go_to_the_smallest_open_set(self):
+        # both substations sell at one price and every load is a binary
+        # fraction, so all assignments cost exactly the same; forests of two
+        # of them are feasible and tie, and the smallest open set among them
+        # wins, not the first feasible forest of the first assignment
+        net = _net([_bus(0, True), _bus(1, True), _bus(2), _bus(3), _bus(4)],
+                   [_line("a2", 0, 2, rating=1.0), _line("a3", 0, 3, rating=1.0),
+                    _line("b3", 1, 3, rating=2.0), _line("b4", 1, 4, rating=4.0),
+                    _line("x23", 2, 3), _line("x24", 2, 4), _line("x34", 3, 4)])
+        loads, prices = np.array([0.25, 0.25, 1.0, 2.0, 0.5]), [10.0, 10.0]
+        best = enumerate_hour(net, loads, prices)
+        flex = sorted(l.id for l in net.flexible_lines)
+        tied = {}    # open set: which component feeds each bus
+        for closed in combinations(flex, 3):
+            sol = evaluate_topology(net, closed, loads, prices)
+            if sol is not None and sol.cost == best.cost:
+                tied[tuple(sorted(set(flex) - set(closed)))] = tuple(
+                    solve_flows(net, set(closed), loads).component_of.tolist())
+        assert len(set(tied.values())) == 2
+        sol = solve_hour(build_hour_model(net, loads, prices))
+        assert sol.cost == best.cost
+        assert tuple(sorted(l for l, on in sol.statuses.items() if not on)) == min(tied)
 
     def test_equal_costs_go_to_smallest_open_set(self):
         # one substation: all three topologies of the triangle cost the same
