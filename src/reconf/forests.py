@@ -113,10 +113,11 @@ class _Forests:
     is the position in net.substations of the substation feeding bus b
     under distinct assignment a, and assignment[f] is forest f's;
     grouped[starts[a]:starts[a + 1]] lists assignment a's forests in
-    increasing order. lines holds the line ends, ratings and reactances
-    as arrays, and capacity[s] what substation s can send out: the
-    ratings of its lines, each plus the screen's slack. layouts builds
-    and keeps the layouts that layout() reads.
+    increasing order. lines holds the sum of each line's two end buses,
+    its rating and its reactance as arrays, and capacity[s] what
+    substation s can send out: the ratings of its lines, each plus the
+    screen's slack. layouts builds and keeps the layouts that layout()
+    reads.
     """
 
     count: int | float          # a float only when above the cap
@@ -520,7 +521,7 @@ def _radial_forests(net: Network) -> _Forests:
     arcs = _arcs(net, edges)
     assignment, assignments, grouped, starts = _assignments(
         net, arcs, open_sets, len(edges))
-    lines = (np.array([(l.from_bus, l.to_bus) for l in net.lines], dtype=np.intp),
+    lines = (np.array([l.from_bus + l.to_bus for l in net.lines], dtype=np.intp),
              np.array([l.rating for l in net.lines]),
              np.array([l.reactance for l in net.lines]))
     capacity = np.array([sum(l.rating + _SCREEN_RATING_TOL for l in net.lines
@@ -539,27 +540,23 @@ def _in_rank_order(forests: _Forests, ranked: np.ndarray, cost: np.ndarray):
     ranked[i]'s. Forests come in order of their assignment's cost and,
     among equal costs, of forest index, so the smallest sorted open set
     comes first. Assignments are expanded a block at a time, each block
-    ending with a tie group, only as far as the chunks are taken.
+    ending with all the assignments that tie with its last, only as far
+    as the chunks are taken.
     """
     grouped, starts = forests.grouped, forests.starts
     first = starts[ranked]
     sizes = starts[ranked + 1] - first
     ends = np.cumsum(sizes)                   # forests up to each position
-    cuts = np.flatnonzero(cost[1:] != cost[:-1]) + 1
-    tie = np.zeros(len(ranked), dtype=np.intp)
-    tie[cuts] = 1
-    np.cumsum(tie, out=tie)                   # tie group of each position
-    past = np.append(cuts, len(ranked))[tie]  # one past each tie group
     held, i = grouped[:0], 0
     while i < len(ranked):
         done = ends[i] - sizes[i]
         k = np.searchsorted(ends, done + _SCREEN_CHUNK - len(held))
-        j = past[min(k, len(ranked) - 1)]
+        j = np.searchsorted(cost, cost[min(k, len(ranked) - 1)], side="right")
         lens = sizes[i:j]
         block = grouped[np.arange(done, ends[j - 1])
                         + np.repeat(first[i:j] - ends[i:j] + lens, lens)]
-        if tie[j - 1] - tie[i] + 1 < j - i:   # merge tied assignments' forests
-            block = block[np.lexsort((block, np.repeat(tie[i:j], lens)))]
+        if np.any(cost[i + 1:j] == cost[i:j - 1]):   # merge tied assignments
+            block = block[np.lexsort((block, np.repeat(cost[i:j], lens)))]
         run = np.concatenate((held, block))
         cut = len(run) - len(run) % _SCREEN_CHUNK
         for lo in range(0, cut, _SCREEN_CHUNK):
@@ -579,7 +576,7 @@ def _screen(model: HourModel, forests: _Forests, chunk: np.ndarray) -> np.ndarra
     the chunk's j-th forest.
     """
     net, opts = model.net, model.opts
-    ends, rating, reactance = forests.lines
+    end_sum, rating, reactance = forests.lines
     width = len(chunk)
     parent_line, depth = forests.layout(chunk)
     depth = depth.ravel()
@@ -588,8 +585,8 @@ def _screen(model: HourModel, forests: _Forests, chunk: np.ndarray) -> np.ndarra
     entry = by_depth[starts[0]:]              # every non-substation entry
     col = entry % width
     line = parent_line.ravel()[entry]
-    # the entry of the parent line's other end, (ends - bus) * width + col
-    up = ends.sum(axis=1)[line] * width
+    # the entry of the parent line's other end, (end_sum - bus) * width + col
+    up = end_sum[line] * width
     up -= entry
     up += col
     up += col
