@@ -7,7 +7,7 @@ topologies over more buses, with reactances shrunk by the square of the
 feeder length so the angle drops stay those of case 4), or both
 (c4-feeders50+ties_ac: 398,545 topologies over 150 buses). For each variant
 the script lists the forest set once and solves hours 8, 15 and 20 both
-ways, ignoring _ENUMERATION_CAP and _ENUMERATION_BYTES:
+ways, ignoring _ENUMERATION_BYTES:
 
     PYTHONPATH=src python3 bench/cap_crossover.py [VARIANT ...] [--hours 8,15,20]
         [--no-bb VARIANT,...] [--no-enum VARIANT,...] [--out FILE]
@@ -17,7 +17,8 @@ byte estimate that _radial_forests compares with _ENUMERATION_BYTES, the
 listing time, its traced peak and the distinct assignments, and per
 hour the enumeration time, the forests laid out so far (kept layouts,
 at most _KEPT_LAYOUTS), the branch-and-bound time, nodes and
-relaxations, and the costs (which must agree to 1e-9).
+relaxations, and the costs (which must agree to 1e-9). An empty --hours
+means all 24.
 The default run covers every variant but c4+ties_abc and c4+ties_abcd,
 with 1.6 and 6.5 million forests; --no-enum times a variant by the
 branch and bound alone, without listing it, and --no-bb by enumeration
@@ -26,9 +27,11 @@ branch and bound).
 
     PYTHONPATH=src python3 bench/cap_crossover.py VARIANT --peak enum|bb
 
-instead solves the first hour one way only (enumeration includes the
-listing) and reports the process's peak resident memory before and
-after; run one variant per process, since the peak never falls.
+instead solves the hours one way only (enumeration lists the forest set
+once, as solve_day does; the branch and bound runs _solve_milp per hour)
+and reports the time, each hour's cost and their total, and the
+process's peak resident memory before and after; run one variant per
+process, since the peak never falls.
 """
 
 from __future__ import annotations
@@ -94,7 +97,6 @@ def variant(extra, size, fixed) -> opt.DayProblem:
 def measure(name: str, hours, with_bb: bool, with_enum: bool) -> dict:
     problem = variant(*VARIANTS[name])
     net = problem.net
-    fs._ENUMERATION_CAP = float("inf")
     fs._ENUMERATION_BYTES = float("inf")
     n_nodes, edges = fs._contracted_edges(net)
     count = fs._spanning_tree_count(n_nodes, edges)
@@ -139,21 +141,27 @@ def measure(name: str, hours, with_bb: bool, with_enum: bool) -> dict:
     return out
 
 
-def peak(name: str, hour: int, path: str) -> dict:
+def peak(name: str, hours, path: str) -> dict:
     problem = variant(*VARIANTS[name])
-    model = opt.build_hour_model(
-        problem.net, opt.apply_epsilon_loads(problem.loads[hour - 1]),
-        problem.prices[hour - 1])
-    fs._ENUMERATION_CAP = float("inf")
-    fs._ENUMERATION_BYTES = float("inf")
     before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
     start = time.perf_counter()
-    if path == "enum":
-        cost = opt.solve_hour(model).cost
-    else:
-        cost = opt._solve_milp(model, opt.SolverOptions())[0].cost
-    return {"variant": name, "hour": hour, "path": path,
-            "s": round(time.perf_counter() - start, 3), "cost": cost,
+    forests = fs._radial_forests(problem.net) if path == "enum" else None
+    if forests is not None and not forests.listed:
+        raise SystemExit(f"{name} is over the byte budget")
+    costs, nodes = [], 0
+    for hour in hours:
+        model = opt.build_hour_model(
+            problem.net, opt.apply_epsilon_loads(problem.loads[hour - 1]),
+            problem.prices[hour - 1])
+        if path == "enum":
+            costs.append(opt.solve_hour(model, forests=forests).cost)
+        else:
+            sol, stats = opt._solve_milp(model, opt.SolverOptions())
+            costs.append(sol.cost)
+            nodes += stats.nodes
+    return {"variant": name, "hours": list(hours), "path": path,
+            "s": round(time.perf_counter() - start, 3), "total": sum(costs),
+            "costs": costs, "bb_nodes": nodes,
             "rss_before_mb": round(before, 1),
             "peak_rss_mb": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
                                  / 1024, 1)}
@@ -170,13 +178,13 @@ def main(argv=None) -> None:
     parser.add_argument("--peak", choices=("enum", "bb"))
     parser.add_argument("--out", help="also write the records to this JSON file")
     args = parser.parse_args(argv)
-    hours = [int(h) for h in args.hours.split(",")]
+    hours = [int(h) for h in args.hours.split(",")] if args.hours else range(1, 25)
     skip = set(filter(None, args.no_bb.split(",")))
     bb_only = set(filter(None, args.no_enum.split(",")))
     records = []
     for name in args.variants:
         if args.peak:
-            records.append(peak(name, hours[0], args.peak))
+            records.append(peak(name, hours, args.peak))
         else:
             records.append(measure(name, hours, name not in skip,
                                    name not in bb_only))

@@ -30,10 +30,6 @@ class Violation:
     flow: float
     rating: float
 
-    @property
-    def percent(self) -> float:
-        return 100.0 * abs(self.flow) / self.rating
-
 
 @dataclass(frozen=True)
 class FlowSolution:
@@ -178,10 +174,3 @@ def check_limits(net: Network, solution: FlowSolution, tol: float = 1e-6) -> lis
             violations.append(Violation(line_id, flow, rating))
     return violations
 
-
-def loading_percent(net: Network, solution: FlowSolution) -> dict[str, float]:
-    """Loading of every line as a percentage of its rating; open lines are 0."""
-    return {
-        line.id: 100.0 * abs(solution.flow(line.id)) / line.rating
-        for line in net.lines
-    }

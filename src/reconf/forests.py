@@ -2,10 +2,11 @@
 
 The radial topologies are the spanning trees of the network with its
 substations merged and its always-closed lines contracted; Kirchhoff's
-matrix-tree theorem counts them. When there are few enough, a GF(2)
-search over the cycle space lists every open set once per network, and
-each forest is held as its open set and the id of its assignment (the
-substation feeding each bus), on which an hour's cost depends. optimize
+matrix-tree theorem counts them, exactly wherever they can be listed.
+When listing them fits the byte budget, a GF(2) search over the cycle
+space lists every open set once per network, and each forest is held as
+its open set and the id of its assignment (the substation feeding each
+bus), on which an hour's cost depends. optimize
 ranks the assignments and walks their forests in cost order
 (_in_rank_order); a forest is laid out (parent line and depth per bus)
 only when _screen first reaches it, and kept for later hours.
@@ -14,7 +15,7 @@ only when _screen first reaches it, and kept for later hours.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import prod
+from math import inf, prod
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -24,20 +25,16 @@ from .model import DisjointSet, Network, StructureError
 if TYPE_CHECKING:
     from .optimize import HourModel
 
-# A network is solved by ranked enumeration when it has at most
-# _ENUMERATION_CAP radial topologies and listing them takes at most
-# _ENUMERATION_BYTES (_forest_bytes); otherwise by branch and bound.
-# Measured on case-4 variants (bench/cap_crossover.py, BENCH_cap.json):
-# on 39 buses listing costs about 1 us and an hour 0.04-0.5 us per forest,
-# and enumeration, listing included, beat the branch and bound on every
-# hour up to the largest count tried, 398,545 (0.5 s + 0.07 s against
-# 2.9-4.6 s); the cap stops there. Memory is the other limit: a listed
-# forest takes its open set and 8 bytes, and listing briefly a few bits
-# per bus more, while the branch and bound's own peak grows with the
-# square of the network (5 MB at 39 buses, 43 MB at 120, 262 MB at 300,
-# where an hour took 47 s against 0.02-0.04 s). The budget keeps a forest
-# set below that largest peak.
-_ENUMERATION_CAP = 400_000
+# A network is solved by ranked enumeration when listing its radial
+# topologies takes at most _ENUMERATION_BYTES (_forest_bytes); otherwise by
+# branch and bound. On 39 buses listing costs about 1 us and an hour
+# 0.04-0.5 us per forest (bench/cap_crossover.py, BENCH_cap.json), so a
+# day by enumeration beat the branch and bound at every count measured, up
+# to 1,640,958 forests (4.9 s against 87 s). A listed forest takes its open
+# set and 8 bytes, and listing briefly a few bits per bus more, while the
+# branch and bound's own peak grows with the square of the network (5 MB
+# at 39 buses, 43 MB at 120, 262 MB at 300, where an hour took 47 s
+# against 0.02-0.04 s). The budget keeps a forest set below that peak.
 _ENUMERATION_BYTES = 256 * 2**20
 
 # forests screened per vectorized batch while walking the ranked order
@@ -102,25 +99,24 @@ class _Layouts:
 
 @dataclass(frozen=True)
 class _Forests:
-    """The radial topologies of one network, listed when there are few.
+    """The radial topologies of one network, listed when they fit.
 
     count is Kirchhoff's count of spanning trees of the contracted graph.
-    Unless it is above _ENUMERATION_CAP or listing exceeds
-    _ENUMERATION_BYTES (then the arrays are None), forest f is the f-th
-    open set in lexicographic order of sorted line ids, and open_sets[f]
-    holds its open edges as positions in edge_lines, the indices into
-    net.lines of the contracted graph's flexible edges. assignments[b, a]
-    is the position in net.substations of the substation feeding bus b
-    under distinct assignment a, and assignment[f] is forest f's;
-    grouped[starts[a]:starts[a + 1]] lists assignment a's forests in
-    increasing order. lines holds the sum of each line's two end buses,
-    its rating and its reactance as arrays, and capacity[s] what
-    substation s can send out: the ratings of its lines, each plus the
-    screen's slack. layouts builds and keeps the layouts that layout()
-    reads.
+    Unless listing them exceeds _ENUMERATION_BYTES (then the arrays are
+    None), forest f is the f-th open set in lexicographic order of sorted
+    line ids, and open_sets[f] holds its open edges as positions in
+    edge_lines, the indices into net.lines of the contracted graph's
+    flexible edges. assignments[b, a] is the position in net.substations of
+    the substation feeding bus b under distinct assignment a, and
+    assignment[f] is forest f's; grouped[starts[a]:starts[a + 1]] lists
+    assignment a's forests in increasing order. lines holds the sum of each
+    line's two end buses, its rating and its reactance as arrays, and
+    capacity[s] what substation s can send out: the ratings of its lines,
+    each plus the screen's slack. layouts builds and keeps the layouts that
+    layout() reads.
     """
 
-    count: int | float          # a float only when above the cap
+    count: int | float          # inf only past float range, never listed
     open_sets: np.ndarray | None = None
     edge_lines: np.ndarray | None = None
     assignment: np.ndarray | None = None
@@ -183,19 +179,35 @@ def _contracted_edges(net: Network) -> tuple[int, list[tuple[int, int, int]]]:
 
 
 def _spanning_tree_count(n_nodes: int, edges) -> int | float:
-    """Kirchhoff's matrix-tree count: a cofactor of the graph Laplacian."""
-    lap = np.zeros((n_nodes, n_nodes))
+    """Kirchhoff's count: the Laplacian's determinant grounded at node 0.
+
+    Nodes are eliminated fewest neighbours first, each with its lines to
+    the others and to node 0 and, in place of its diagonal, their sum as
+    pivot; eliminating k joins its neighbours i, j by w_ik w_kj / pivot.
+    The determinant is the product of the pivots. With no subtraction
+    (Grassmann, Taksar and Heyman, 1985) each step rounds by an ulp or two,
+    so the count is an exact int far past any set the byte budget lists.
+    """
+    weight: list[dict[int, float]] = [{} for _ in range(n_nodes)]
     for _, u, v in edges:
-        lap[u, u] += 1.0
-        lap[v, v] += 1.0
-        lap[u, v] -= 1.0
-        lap[v, u] -= 1.0
-    sign, logdet = np.linalg.slogdet(lap[1:, 1:])
-    if sign <= 0:
-        return 0
-    if logdet > np.log(_ENUMERATION_CAP) + 1.0:
-        return float(np.exp(logdet))
-    return round(float(np.exp(logdet)))
+        weight[u][v] = weight[u].get(v, 0.0) + 1.0
+        weight[v][u] = weight[v].get(u, 0.0) + 1.0
+    left, count = set(range(1, n_nodes)), 1.0
+    while left:
+        k = min(left, key=lambda i: len(weight[i]))
+        left.remove(k)
+        near = weight[k]
+        pivot = sum(near.values())
+        if not pivot:
+            return 0                       # a part no substation reaches
+        count *= pivot
+        for i, w in near.items():
+            row, share = weight[i], w / pivot
+            del row[k]
+            for j, x in near.items():
+                if j != i:
+                    row[j] = row.get(j, 0.0) + share * x
+    return round(count) if count < inf else count
 
 
 def _cycle_masks(n_nodes: int, edges) -> tuple[list[int], int]:
@@ -510,11 +522,10 @@ def _assignments(net: Network, arcs, open_sets: np.ndarray, n_edges: int):
 
 
 def _radial_forests(net: Network) -> _Forests:
-    """Count the network's radial topologies and list them if few enough."""
+    """Count the network's radial topologies and list them if they fit."""
     n_nodes, edges = _contracted_edges(net)
     count = _spanning_tree_count(n_nodes, edges)
-    if (count > _ENUMERATION_CAP
-            or _forest_bytes(net, n_nodes, edges, count) > _ENUMERATION_BYTES):
+    if _forest_bytes(net, n_nodes, edges, count) > _ENUMERATION_BYTES:
         return _Forests(count)
     masks, rank = _cycle_masks(n_nodes, edges)
     open_sets = _open_sets(masks, rank, count)

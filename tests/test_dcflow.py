@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 
 from hour_oracle import solve_flows_dense
+from reconf.cli import _loading_cells
 from reconf.dcflow import (
     TopologyError,
     check_limits,
-    loading_percent,
     solve_flows,
 )
 from reconf.model import Bus, Line, Network
@@ -180,7 +180,8 @@ class TestLimits:
         violations = check_limits(net, sol)
         assert len(violations) == 1
         v = violations[0]
-        assert v.line_id == "L" and v.percent == pytest.approx(120.0)
+        assert v.line_id == "L" and v.flow == pytest.approx(12.0)
+        assert v.rating == 10.0
 
     def test_reverse_overload_reported(self):
         net = _net([_bus(0, True), _bus(1)], [_line("L", 1, 0, rating=10.0)])
@@ -198,11 +199,9 @@ class TestLimits:
             [_line("a", 0, 1, rating=10.0), _line("c", 0, 1, rating=5.0, flexible=True)],
         )
         sol = solve_flows(net, {"a"}, [0.0, 7.5])
-        pct = loading_percent(net, sol)
-        assert pct["a"] == pytest.approx(75.0)
-        assert pct["c"] == 0.0
+        assert _loading_cells(net, sol.flows) == ["75.000000", "0.000000"]
 
     def test_loading_at_exact_rating_is_100(self):
         net = _net([_bus(0, True), _bus(1)], [_line("a", 0, 1, rating=10.0)])
         sol = solve_flows(net, {"a"}, [0.0, 10.0])
-        assert loading_percent(net, sol)["a"] == pytest.approx(100.0)
+        assert _loading_cells(net, sol.flows) == ["100.000000"]

@@ -1,4 +1,5 @@
 import hashlib
+import time
 import tracemalloc
 from itertools import combinations
 
@@ -13,7 +14,7 @@ from reconf import optimize
 from reconf.casegen import FixtureSpec, day_problem
 from reconf.dcflow import solve_flows
 from reconf.forests import (
-    _ENUMERATION_CAP,
+    _ENUMERATION_BYTES,
     _contracted_edges,
     _forest_bytes,
     _radial_forests,
@@ -476,6 +477,19 @@ def wide_case4():
     return DayProblem(net, problem.loads, problem.prices)
 
 
+def tied_case4():
+    """Case 4 with two more ties, rated as its own, between feeders 1 and
+    2 near and far from their substations: 415,081 radial topologies over
+    39 buses."""
+    problem = day_problem(FixtureSpec(case_id=4))
+    net = problem.net
+    rating = net.lines[-1].rating
+    extra = [Line("t1", 3, 16, 0.05, rating, True),
+             Line("t2", 11, 24, 0.05, rating, True)]
+    net = Network(net.buses, net.lines + tuple(extra), net.base_mva)
+    return DayProblem(net, problem.loads, problem.prices)
+
+
 @pytest.fixture(scope="module")
 def wide_listed():
     problem = wide_case4()
@@ -545,9 +559,22 @@ class TestForestSet:
     def test_many_topologies_go_to_branch_and_bound(self):
         net = grid_net()
         forests = _radial_forests(net)
-        assert _ENUMERATION_CAP == 400_000
-        assert forests.count > _ENUMERATION_CAP
+        n_nodes, edges = _contracted_edges(net)
+        assert _forest_bytes(net, n_nodes, edges, forests.count) > _ENUMERATION_BYTES
         assert not forests.listed
+
+    def test_more_topologies_that_fit_the_budget_are_listed(self):
+        # 415,081 radial topologies over 39 buses: more than the 400,000
+        # the count once allowed, but listing them fits the byte budget
+        problem = tied_case4()
+        forests = _radial_forests(problem.net)
+        assert forests.count == 415_081 and forests.listed
+        for hour in (3, 4):
+            model = build_hour_model(problem.net,
+                                     apply_epsilon_loads(problem.loads[hour - 1]),
+                                     problem.prices[hour - 1])
+            assert solve_hour(model, forests=forests).cost == pytest.approx(
+                _solve_milp(model, SolverOptions())[0].cost, rel=1e-9)
 
     def test_many_buses_few_topologies(self):
         # case 3 with 60-bus feeders: 214 topologies over 180 buses and
@@ -570,11 +597,11 @@ class TestForestSet:
 
     def test_many_buses_over_the_byte_budget_go_to_branch_and_bound(
             self, wide_listed, monkeypatch):
-        # 398,545 topologies over 150 buses, under the cap: each is held as
-        # its open set and assignment id, so listing them fits the budget;
-        # a budget below the estimate sends the network to the branch and bound
+        # 398,545 topologies over 150 buses: each is held as its open set
+        # and assignment id, so listing them fits the budget; a budget
+        # below the estimate sends the network to the branch and bound
         problem, forests = wide_listed
-        assert forests.count == 398_545 <= _ENUMERATION_CAP
+        assert forests.count == 398_545
         assert forests.listed
         n_nodes, edges = _contracted_edges(problem.net)
         estimate = _forest_bytes(problem.net, n_nodes, edges, forests.count)
@@ -874,17 +901,88 @@ class TestSolveDay:
         assert info.value.partial[0].stats.relaxations >= 1
 
 
-def grid_net():
-    """A 4 x 5 grid of switchable lines fed from two opposite corners:
-    8,454,183 radial topologies, above the enumeration cap."""
-    buses = [_bus(i, i in (0, 19)) for i in range(20)]
+def grid_net(rows=4, cols=5, substations=(0, 19)):
+    """A grid of switchable lines, by default 4 x 5 fed from two opposite
+    corners: 8,454,183 radial topologies, too many to list in the budget."""
+    n = rows * cols
+    buses = [_bus(i, i in substations) for i in range(n)]
     lines = []
-    for i in range(20):
-        if i % 5 < 4:
+    for i in range(n):
+        if i % cols < cols - 1:
             lines.append(_line(f"h{i}", i, i + 1, x=0.01, rating=0.5))
-        if i < 15:
-            lines.append(_line(f"v{i}", i, i + 5, x=0.01, rating=0.5))
+        if i < n - cols:
+            lines.append(_line(f"v{i}", i, i + cols, x=0.01, rating=0.5))
     return _net(buses, lines)
+
+
+def exact_tree_count(n_nodes, edges):
+    """Kirchhoff's count in integers: the determinant of the Laplacian
+    grounded at node 0, by fraction-free (Bareiss) elimination."""
+    m = n_nodes - 1
+    a = [[0] * m for _ in range(m)]
+    for _, u, v in edges:
+        for x, y in ((u, v), (v, u)):
+            if x:
+                a[x - 1][x - 1] += 1
+                if y:
+                    a[x - 1][y - 1] -= 1
+    sign, prev = 1, 1
+    for k in range(m):
+        pivot = next((r for r in range(k, m) if a[r][k]), None)
+        if pivot is None:
+            return 0
+        if pivot != k:
+            a[k], a[pivot], sign = a[pivot], a[k], -sign
+        for i in range(k + 1, m):
+            for j in range(k + 1, m):
+                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
+        prev = a[k][k]
+    return sign * prev
+
+
+class TestSpanningTreeCount:
+    def test_exact_determinant_on_random_multigraphs(self):
+        # node 0 is the merged substations; lines repeat, and sparse
+        # graphs leave parts that reach no substation
+        rng = np.random.default_rng(11)
+        zeros = parallel = 0
+        for _ in range(600):
+            n_nodes = int(rng.integers(2, 13))
+            pairs = [tuple(rng.choice(n_nodes, size=2, replace=False).tolist())
+                     for _ in range(int(rng.integers(0, 3 * n_nodes)))]
+            edges = [(k, u, v) for k, (u, v) in enumerate(pairs)]
+            count = _spanning_tree_count(n_nodes, edges)
+            assert type(count) is int
+            assert count == exact_tree_count(n_nodes, edges)
+            zeros += count == 0
+            parallel += len(set(map(frozenset, pairs))) < len(pairs)
+        assert zeros > 50 and parallel > 50
+
+    def test_exact_int_where_a_float_determinant_is_not(self):
+        forests = _radial_forests(grid_net())
+        assert type(forests.count) is int and forests.count == 8_454_183
+        # a 6 x 6 grid with one substation: a floating-point determinant
+        # reads 32565539635199.83
+        count = _spanning_tree_count(*_contracted_edges(grid_net(6, 6, (0,))))
+        assert type(count) is int and count == 32_565_539_635_200
+
+    def test_mesh_past_float_range_goes_to_branch_and_bound(self):
+        net = grid_net(30, 30, (0,))
+        start = time.perf_counter()
+        forests = _radial_forests(net)
+        assert time.perf_counter() - start < 1.0
+        assert not forests.listed
+
+    def test_enumerated_day_calls_no_linear_algebra(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("numpy.linalg called")
+
+        for name in np.linalg.__all__:
+            if not isinstance(getattr(np.linalg, name), type):
+                monkeypatch.setattr(np.linalg, name, refuse)
+        day = solve_day(day_problem(FixtureSpec(case_id=4)))
+        assert day.total_cost == pytest.approx(884.318898, abs=1e-6)
+        assert all(h.stats.nodes == 0 for h in day.hours)
 
 
 def random_switchable_net(rng):
