@@ -28,7 +28,8 @@ branch and bound).
     PYTHONPATH=src python3 bench/cap_crossover.py VARIANT --peak enum|bb
 
 instead solves the hours one way only (enumeration lists the forest set
-once, as solve_day does; the branch and bound runs _solve_milp per hour)
+once, as solve_day does, and refuses a variant over the byte budget; the
+branch and bound runs _solve_milp per hour)
 and reports the time, each hour's cost and their total, and the
 process's peak resident memory before and after; run one variant per
 process, since the peak never falls.
