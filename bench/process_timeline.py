@@ -96,7 +96,7 @@ MEMORY = ("import_rss_mb", "peak_rss_mb")
 
 def launch(tree: Path, work: Path, argv: list[str]) -> dict:
     """One child solve; its phases in seconds and its peak memory."""
-    env = {k: v for k, v in os.environ.items() if not k.startswith("RECONF_")}
+    env = dict(os.environ)
     env.update(PYTHONPATH=str(tree / "src"), OMP_NUM_THREADS="1",
                OPENBLAS_NUM_THREADS="1", MKL_NUM_THREADS="1")
     record = work / "record.json"

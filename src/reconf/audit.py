@@ -11,18 +11,15 @@ import json
 from pathlib import Path
 
 from .cli import (
-    _bus_columns,
     _io_error,
     _loading_cells,
     _micro_str,
     _micros,
-    _read_network,
-    _read_profile_csv,
+    _read_day,
     _sha256,
-    _substation_columns,
     is_spanning_forest,
 )
-from .optimize import ModelOptions, apply_epsilon_loads, evaluate_topology
+from .optimize import apply_epsilon_loads, evaluate_topology
 
 
 def _read_rows(path: Path, run_dir: str) -> list[list[str]]:
@@ -79,13 +76,10 @@ def audit(run_dir: str, run: dict, schedule) -> str | None:
         if digest != run["sha256"][what]:
             return f"{what} {path} changed since the solve"
         paths[what] = str(path)
-    net = _read_network(paths["network"])
-    horizon = run["horizon"]
-    loads = _read_profile_csv(paths["loads"], "loads",
-                              _bus_columns(net))[:horizon] * run["scale"]
-    prices = _read_profile_csv(paths["prices"], "prices", _substation_columns(net))
-    opts = ModelOptions(angle_lo=run["angle_lo"], angle_hi=run["angle_hi"],
-                        epsilon=run["epsilon"])
+    problem, opts = _read_day(paths["network"], paths["loads"], paths["prices"],
+                              run["horizon"], run["scale"], run["angle_lo"],
+                              run["angle_hi"], run["epsilon"])
+    net, horizon = problem.net, problem.horizon
     flex_ids = sorted(l.id for l in net.flexible_lines)
     hours = list(range(1, horizon + 1)) if flex_ids else []
     if ([hour for hour, _ in schedule] != hours
@@ -102,8 +96,9 @@ def audit(run_dir: str, run: dict, schedule) -> str | None:
         if not is_spanning_forest(net, always | closed):
             return f"hour {t} schedule is not radial"
         sol = evaluate_topology(net, closed,
-                                apply_epsilon_loads(loads[t - 1], opts.epsilon),
-                                prices[t - 1], opts)
+                                apply_epsilon_loads(problem.loads[t - 1],
+                                                    opts.epsilon),
+                                problem.prices[t - 1], opts)
         if sol is None:
             return f"hour {t} schedule breaks a line rating or an angle bound"
         micros.append(_micros(sol.cost))

@@ -152,19 +152,6 @@ def gen_three_feeder(spec: FixtureSpec) -> Network:
     return Network(buses=buses, lines=tuple(lines), base_mva=100.0, id_base=1)
 
 
-def normalize_profile(raw) -> np.ndarray:
-    """Scale a per-hour series by its maximum, giving values in (0, 1]."""
-    raw = np.asarray(raw, dtype=float)
-    if raw.size == 0:
-        raise ValueError("profile is empty")
-    if np.any(raw < 0):
-        raise ValueError("profile values must be non-negative")
-    peak = float(raw.max())
-    if peak <= 0:
-        raise ValueError("profile has no positive entry")
-    return raw / peak
-
-
 def gen_price_profile(seed: int = 0, shape: str = "diurnal") -> np.ndarray:
     """24-hour price table, one column per substation.
 

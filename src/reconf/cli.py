@@ -5,10 +5,9 @@ to disk, `validate` checks a network file, `solve` produces the day's
 switching schedule with its cost and loading tables, and `report`
 audits completed runs against their inputs and compares their totals. Exit codes are
 scriptable: 0 success, 1 validation failure, 2 unreadable or malformed
-input, 3 infeasible hour, 4 solver limits.
-
-Every flag default can be overridden by an environment variable named
-RECONF_<FLAG> (for example RECONF_GAP=1e-7, RECONF_JOBS=4).
+input, 3 infeasible hour, 4 solver limits. An out-of-range or
+non-finite parameter, of `solve` or in a run that `report` audits, is
+malformed input.
 """
 
 from __future__ import annotations
@@ -17,10 +16,8 @@ import argparse
 import csv
 import gc
 import json
-import os
 import sys
 import time
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -50,8 +47,6 @@ EXIT_IO = 2
 EXIT_INFEASIBLE = 3
 EXIT_LIMIT = 4
 
-_ENV_PREFIX = "RECONF_"
-
 
 class CliError(Exception):
     """A failure with a designated exit code and a printable message."""
@@ -63,45 +58,6 @@ class CliError(Exception):
 
 def _io_error(message: str) -> CliError:
     return CliError(message, EXIT_IO)
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Everything one solve run needs, as plain values."""
-
-    network: str
-    loads: str
-    prices: str
-    out_dir: str
-    horizon: int
-    epsilon: float = 1e-5
-    angle_lo: float = -0.6
-    angle_hi: float = 0.6
-    gap: float = 1e-6
-    scale: float = 1.0
-    jobs: int = 1
-
-    def __post_init__(self):
-        if self.horizon < 1:
-            raise ValueError("horizon must be at least 1")
-        if self.epsilon <= 0 or self.gap <= 0:
-            raise ValueError("epsilon and gap must be positive")
-        if not self.angle_lo < self.angle_hi:
-            raise ValueError("angle_lo must be strictly below angle_hi")
-        if self.scale <= 0:
-            raise ValueError("load scale must be positive")
-        if self.jobs < 1:
-            raise ValueError("jobs must be at least 1")
-
-
-def _env(name: str, cast, fallback):
-    raw = os.environ.get(_ENV_PREFIX + name)
-    if raw is None:
-        return fallback
-    try:
-        return cast(raw)
-    except ValueError as exc:
-        raise _io_error(f"bad {_ENV_PREFIX}{name}={raw!r}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -145,6 +101,29 @@ def _read_profile_csv(path: str, what: str, columns: list[str]) -> np.ndarray:
     if not data:
         raise _io_error(f"{what} {path} has no data rows")
     return np.asarray(data, dtype=float)
+
+
+def _read_day(network: str, loads: str, prices: str, horizon: int | None,
+              scale: float, angle_lo: float, angle_hi: float,
+              epsilon: float) -> tuple[DayProblem, ModelOptions]:
+    """The problem and model options of one solve, read and checked once
+    for `solve` and for the report's audit: the first horizon hours of the
+    profiles (all of them when None), loads times scale."""
+    net = _read_network(network)
+    load_table = _read_profile_csv(loads, "loads", _bus_columns(net))
+    price_table = _read_profile_csv(prices, "prices", _substation_columns(net))
+    hours = min(len(load_table), len(price_table))
+    if horizon is None:
+        horizon = len(load_table)
+    if not 1 <= horizon <= hours:
+        raise _io_error(f"horizon {horizon} outside the profiles' {hours} hours")
+    if not 0 < scale < np.inf:
+        raise _io_error(f"load scale {scale} is not positive and finite")
+    try:
+        return (DayProblem(net, load_table[:horizon] * scale, price_table[:horizon]),
+                ModelOptions(angle_lo=angle_lo, angle_hi=angle_hi, epsilon=epsilon))
+    except ValueError as exc:
+        raise _io_error(str(exc)) from exc
 
 
 def _write_profile_csv(path: Path, columns: list[str], table: np.ndarray) -> None:
@@ -236,37 +215,19 @@ def cmd_validate(args) -> int:
     return EXIT_OK if report.is_valid else EXIT_INVALID
 
 
-def _solve_config(args) -> RunConfig:
+def cmd_solve(args) -> int:
+    if args.jobs < 1:
+        raise _io_error("jobs must be at least 1")
     try:
-        return RunConfig(
-            network=args.network, loads=args.loads, prices=args.prices,
-            out_dir=args.out, horizon=args.horizon,
-            epsilon=args.epsilon, angle_lo=args.angle_lo,
-            angle_hi=args.angle_hi, gap=args.gap, scale=args.scale,
-            jobs=args.jobs)
+        solver_opts = SolverOptions(gap=args.gap)
     except ValueError as exc:
         raise _io_error(str(exc)) from exc
-
-
-def cmd_solve(args) -> int:
-    net = _read_network(args.network)
-    loads = _read_profile_csv(args.loads, "loads", _bus_columns(net))
-    prices = _read_profile_csv(args.prices, "prices", _substation_columns(net))
-    horizon = args.horizon if args.horizon is not None else len(loads)
-    if not 1 <= horizon <= min(len(loads), len(prices)):
-        raise _io_error(
-            f"horizon {horizon} outside the profiles' {min(len(loads), len(prices))} hours")
-    args.horizon = horizon
-    config = _solve_config(args)
-
-    problem = DayProblem(net, loads[:horizon] * config.scale, prices[:horizon])
-    model_opts = ModelOptions(angle_lo=config.angle_lo,
-                              angle_hi=config.angle_hi,
-                              epsilon=config.epsilon)
-    solver_opts = SolverOptions(gap=config.gap)
+    problem, model_opts = _read_day(args.network, args.loads, args.prices,
+                                    args.horizon, args.scale, args.angle_lo,
+                                    args.angle_hi, args.epsilon)
     started = time.perf_counter()
     try:
-        day = solve_day(problem, model_opts, solver_opts, jobs=config.jobs)
+        day = solve_day(problem, model_opts, solver_opts, jobs=args.jobs)
     except StructureError as exc:
         # solve_day validates the network once and raises with the report
         for finding in exc.report.errors:
@@ -281,10 +242,10 @@ def cmd_solve(args) -> int:
         return EXIT_LIMIT
     elapsed = time.perf_counter() - started
 
-    out = Path(config.out_dir)
+    out = Path(args.out)
     try:
         out.mkdir(parents=True, exist_ok=True)
-        _write_outputs(out, net, day, config, elapsed)
+        _write_outputs(out, problem.net, day, args, elapsed)
     except OSError as exc:
         raise _io_error(f"cannot write to {out}: {exc}") from exc
     print(f"total cost {_micro_str(_micros(day.total_cost))}, "
@@ -293,7 +254,7 @@ def cmd_solve(args) -> int:
 
 
 def _write_outputs(out: Path, net: Network, day: DaySolution,
-                   config: RunConfig, elapsed: float) -> None:
+                   args: argparse.Namespace, elapsed: float) -> None:
     flex_ids = sorted(l.id for l in net.flexible_lines)
     with open(out / "schedule.csv", "w", newline="") as fh:
         w = csv.writer(fh, lineterminator="\n")
@@ -326,20 +287,20 @@ def _write_outputs(out: Path, net: Network, day: DaySolution,
         fh.write(f"solve time: {elapsed:.2f} s\n")
 
     run = {
-        "network": config.network,
-        "loads": config.loads,
-        "prices": config.prices,
-        "sha256": {what: _sha256(getattr(config, what))
+        "network": args.network,
+        "loads": args.loads,
+        "prices": args.prices,
+        "sha256": {what: _sha256(getattr(args, what))
                    for what in ("network", "loads", "prices")},
         "n_buses": net.n_buses,
         "n_lines": len(net.lines),
         "flexible_lines": flex_ids,
-        "horizon": config.horizon,
-        "scale": config.scale,
-        "gap": config.gap,
-        "epsilon": config.epsilon,
-        "angle_lo": config.angle_lo,
-        "angle_hi": config.angle_hi,
+        "horizon": len(day.hours),
+        "scale": args.scale,
+        "gap": args.gap,
+        "epsilon": args.epsilon,
+        "angle_lo": args.angle_lo,
+        "angle_hi": args.angle_hi,
         "total_cost": _micro_str(sum(hour_micros)),
         "nodes": nodes,
     }
@@ -396,16 +357,16 @@ def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="reconf",
         description="Day-ahead switching schedules for radial feeders.",
-        epilog="Flag defaults accept environment overrides named "
-               "RECONF_<FLAG>, e.g. RECONF_GAP=1e-7 or RECONF_JOBS=4.")
+        epilog="Exit codes: 0 success, 1 validation failure, 2 unreadable or "
+               "malformed input (an out-of-range or non-finite parameter "
+               "included), 3 infeasible hour, 4 solver limits.")
     sub = parser.add_subparsers(dest="command", required=True)
 
     gen = sub.add_parser("generate", help="write a synthetic three-feeder case")
     gen.add_argument("--case", type=int, required=True, choices=(1, 2, 3, 4))
-    gen.add_argument("--seed", type=int, default=_env("SEED", int, 0))
-    gen.add_argument("--rating-scale", type=float,
-                     default=_env("RATING_SCALE", float, 1.0))
-    gen.add_argument("--price-shape", default=_env("PRICE_SHAPE", str, "diurnal"),
+    gen.add_argument("--seed", type=int, default=0)
+    gen.add_argument("--rating-scale", type=float, default=1.0)
+    gen.add_argument("--price-shape", default="diurnal",
                      choices=("diurnal", "random"))
     gen.add_argument("--out", required=True, help="output directory")
     gen.set_defaults(fn=cmd_generate)
@@ -420,17 +381,14 @@ def _build_parser() -> argparse.ArgumentParser:
     sol.add_argument("--loads", required=True)
     sol.add_argument("--prices", required=True)
     sol.add_argument("--out", required=True, help="output directory")
-    sol.add_argument("--horizon", type=int, default=_env("HORIZON", int, None))
-    sol.add_argument("--scale", type=float, default=_env("SCALE", float, 1.0),
+    sol.add_argument("--horizon", type=int)
+    sol.add_argument("--scale", type=float, default=1.0,
                      help="multiply every load by this factor")
-    sol.add_argument("--gap", type=float, default=_env("GAP", float, 1e-6))
-    sol.add_argument("--epsilon", type=float,
-                     default=_env("EPSILON", float, 1e-5))
-    sol.add_argument("--angle-lo", type=float,
-                     default=_env("ANGLE_LO", float, -0.6))
-    sol.add_argument("--angle-hi", type=float,
-                     default=_env("ANGLE_HI", float, 0.6))
-    sol.add_argument("--jobs", type=int, default=_env("JOBS", int, 1))
+    sol.add_argument("--gap", type=float, default=1e-6)
+    sol.add_argument("--epsilon", type=float, default=1e-5)
+    sol.add_argument("--angle-lo", type=float, default=-0.6)
+    sol.add_argument("--angle-hi", type=float, default=0.6)
+    sol.add_argument("--jobs", type=int, default=1)
     sol.set_defaults(fn=cmd_solve)
 
     rep = sub.add_parser("report", help="verify and compare completed runs")
@@ -456,4 +414,8 @@ def main(argv=None) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    # run as `python -m reconf.cli`, this file is __main__, while the
+    # report's audit imports reconf.cli and raises that module's CliError:
+    # only reconf.cli's main catches it
+    from reconf.cli import main as _main
+    sys.exit(_main())

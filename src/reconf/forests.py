@@ -4,8 +4,8 @@ The radial topologies are the spanning trees of the network with its
 substations merged and its always-closed lines contracted; Kirchhoff's
 matrix-tree theorem counts them, exactly wherever they can be listed.
 When listing them fits the byte budget, a GF(2) search over the cycle
-space lists every open set once per network, and each forest is held as
-its open set and the id of its assignment (the substation feeding each
+space lists every open set once per network, and the forests are held as
+their open sets, grouped by assignment (the substation feeding each
 bus), on which an hour's cost depends. optimize
 ranks the assignments and walks their forests in cost order
 (_in_rank_order); a forest is laid out (parent line and depth per bus)
@@ -31,7 +31,7 @@ if TYPE_CHECKING:
 # 0.04-0.5 us per forest (bench/cap_crossover.py, BENCH_cap.json), so a
 # day by enumeration beat the branch and bound at every count measured, up
 # to 1,640,958 forests (4.9 s against 87 s). A listed forest takes its open
-# set and 8 bytes, and listing briefly a few bits per bus more, while the
+# set and 4 bytes, and listing briefly a few bits per bus more, while the
 # branch and bound's own peak grows with the square of the network (5 MB
 # at 39 buses, 43 MB at 120, 262 MB at 300, where an hour took 47 s
 # against 0.02-0.04 s). The budget keeps a forest set below that peak.
@@ -108,8 +108,8 @@ class _Forests:
     edge_lines, the indices into net.lines of the contracted graph's
     flexible edges. assignments[b, a] is the position in net.substations of
     the substation feeding bus b under distinct assignment a, and
-    assignment[f] is forest f's; grouped[starts[a]:starts[a + 1]] lists
-    assignment a's forests in increasing order. lines holds the sum of each
+    grouped[starts[a]:starts[a + 1]] lists assignment a's forests in
+    increasing order. lines holds the sum of each
     line's two end buses, its rating and its reactance as arrays, and
     capacity[s] what substation s can send out: the ratings of its lines,
     each plus the screen's slack. layouts builds and keeps the layouts that
@@ -119,7 +119,6 @@ class _Forests:
     count: int | float          # inf only past float range, never listed
     open_sets: np.ndarray | None = None
     edge_lines: np.ndarray | None = None
-    assignment: np.ndarray | None = None
     assignments: np.ndarray | None = None
     grouped: np.ndarray | None = None
     starts: np.ndarray | None = None
@@ -129,7 +128,7 @@ class _Forests:
 
     @property
     def listed(self) -> bool:
-        return self.assignment is not None
+        return self.grouped is not None
 
     def closed_lines(self, f: int) -> np.ndarray:
         """Indices into net.lines of forest f's closed flexible lines."""
@@ -347,13 +346,13 @@ def _label_bits(net: Network) -> int:
 def _forest_bytes(net: Network, n_nodes: int, edges, count) -> float:
     """Peak bytes of listing count forests, as _radial_forests does.
 
-    Each forest keeps its open set, a 4-byte assignment id and a 4-byte
-    place in its group. Listing also holds per forest the larger of: the
-    open sets' sorted copy and 8-byte order; the labels packed into
-    64-bit words, plus one batch of _LIST_CHUNK forests' closed flag per
-    edge and reached flag and label per bus; the words with their 8-byte
-    order, one sorted word and 8 bytes of flags and ids. 128 KiB and 256
-    bytes per line cover the Python objects. The assignments' labels,
+    Each forest keeps its open set and a 4-byte place in its group.
+    Listing also holds per forest the larger of: the open sets' sorted
+    copy and 8-byte order; the labels packed into 64-bit words, plus one
+    batch of _LIST_CHUNK forests' closed flag per edge and reached flag
+    and label per bus; the words with their 8-byte order, one sorted word
+    and 4 bytes of flags. 128 KiB and 256 bytes per line cover the Python
+    objects. The assignments' labels,
     n_buses bytes each, are left out: their number is known only once
     listed, and far below the forests' (2,767 for case 4's 16,017; 8,491
     for 398,545 on a 150-bus variant). An hour adds arrays over the
@@ -367,7 +366,7 @@ def _forest_bytes(net: Network, n_nodes: int, edges, count) -> float:
     batch = min(count, _LIST_CHUNK) * (len(edges) + 2 * n)
     return float(count * opened + 2**17 + 256 * len(net.lines)
                  + max(count * (opened + 8), count * words + batch,
-                       count * (words + 24)))
+                       count * (words + 20)))
 
 
 def _arcs(net: Network, edges) -> list[tuple[int, int, int, int]]:
@@ -482,8 +481,8 @@ def _pack(words: np.ndarray, label: np.ndarray, bits: int) -> None:
 
 
 def _assignments(net: Network, arcs, open_sets: np.ndarray, n_edges: int):
-    """Each forest's assignment id, the distinct assignments as labels per
-    bus, and the forests grouped by assignment with the groups' starts.
+    """The distinct assignments as labels per bus, and the forests grouped
+    by assignment with the groups' starts.
 
     Forests are labelled a batch at a time and their labels packed a few
     bits per bus into 64-bit words. A stable lexsort of the words makes
@@ -506,8 +505,6 @@ def _assignments(net: Network, arcs, open_sets: np.ndarray, n_edges: int):
         first[1:] |= word[1:] != word[:-1]
     del word
     starts = np.flatnonzero(first)
-    assignment = np.empty(count, dtype=np.int32)
-    assignment[order] = np.cumsum(first, dtype=np.int32) - 1
     keys = words[:, order[starts]]
     del words, first
     assignments = np.empty((n, len(starts)),
@@ -517,8 +514,7 @@ def _assignments(net: Network, arcs, open_sets: np.ndarray, n_edges: int):
         w, j = divmod(b, per_word)
         width = min(per_word, n - w * per_word)
         assignments[b] = (keys[w] >> np.uint64((width - 1 - j) * bits)) & mask
-    return (assignment, assignments, order.astype(np.int32),
-            np.append(starts, count))
+    return assignments, order.astype(np.int32), np.append(starts, count)
 
 
 def _radial_forests(net: Network) -> _Forests:
@@ -530,8 +526,7 @@ def _radial_forests(net: Network) -> _Forests:
     masks, rank = _cycle_masks(n_nodes, edges)
     open_sets = _open_sets(masks, rank, count)
     arcs = _arcs(net, edges)
-    assignment, assignments, grouped, starts = _assignments(
-        net, arcs, open_sets, len(edges))
+    assignments, grouped, starts = _assignments(net, arcs, open_sets, len(edges))
     lines = (np.array([l.from_bus + l.to_bus for l in net.lines], dtype=np.intp),
              np.array([l.rating for l in net.lines]),
              np.array([l.reactance for l in net.lines]))
@@ -539,8 +534,7 @@ def _radial_forests(net: Network) -> _Forests:
                              if b in (l.from_bus, l.to_bus))
                          for b in net.substations])
     edge_lines = np.array([k for k, _, _ in edges], dtype=np.intp)
-    return _Forests(count, open_sets, edge_lines, assignment, assignments,
-                    grouped, starts, lines, capacity,
+    return _Forests(count, open_sets, edge_lines, assignments, grouped, starts, lines, capacity,
                     _Layouts(net, arcs, open_sets, len(edges)))
 
 

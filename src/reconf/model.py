@@ -144,13 +144,6 @@ class ValidationReport:
     def is_valid(self) -> bool:
         return not self.errors
 
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "is_valid": self.is_valid,
-            "errors": [vars(f) for f in self.errors],
-            "warnings": [vars(f) for f in self.warnings],
-        }
-
 
 _TOP_KEYS = {"base_mva", "buses", "lines"}
 _BUS_KEYS = {"id", "name", "substation"}

@@ -75,10 +75,11 @@ class ModelOptions:
     epsilon: float = 1e-5
 
     def __post_init__(self):
-        if not self.angle_lo < self.angle_hi:
-            raise ValueError("angle_lo must be strictly below angle_hi")
-        if self.epsilon <= 0:
-            raise ValueError("epsilon must be positive")
+        if not -np.inf < self.angle_lo < self.angle_hi < np.inf:
+            raise ValueError("angle bounds must be finite, angle_lo strictly "
+                             "below angle_hi")
+        if not 0 < self.epsilon < np.inf:
+            raise ValueError("epsilon must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -90,8 +91,8 @@ class SolverOptions:
     max_nodes: int = 100_000
 
     def __post_init__(self):
-        if self.gap <= 0:
-            raise ValueError("gap must be positive")
+        if not 0 < self.gap < np.inf:
+            raise ValueError("gap must be positive and finite")
         if self.max_nodes < 1:
             raise ValueError("max_nodes must be at least 1")
 

@@ -10,7 +10,6 @@ from reconf.casegen import (
     day_problem,
     gen_price_profile,
     gen_three_feeder,
-    normalize_profile,
     scale_loads,
 )
 from reconf.model import required_closed_flexible_count, validate
@@ -115,18 +114,6 @@ class TestProfiles:
         assert LOAD_SHAPE.shape == (24,)
         assert LOAD_SHAPE.max() == 1.0
         assert np.all(LOAD_SHAPE > 0)
-
-    def test_normalize_profile(self):
-        out = normalize_profile([24, 30, 15])
-        assert np.allclose(out, [0.8, 1.0, 0.5])
-
-    def test_normalize_profile_rejects_bad_input(self):
-        with pytest.raises(ValueError):
-            normalize_profile([])
-        with pytest.raises(ValueError):
-            normalize_profile([0.0, 0.0])
-        with pytest.raises(ValueError):
-            normalize_profile([1.0, -0.5])
 
     def test_diurnal_prices_shape(self):
         prices = gen_price_profile()

@@ -185,15 +185,6 @@ class TestSolve:
                                  .splitlines()[-1].split(",")[1])
         assert read(scaled) > read(base)
 
-    def test_env_override(self, tiny, monkeypatch):
-        monkeypatch.setenv("RECONF_SCALE", "1.2")
-        out = tiny["dir"] / "env_run"
-        assert main(["solve", "--network", tiny["network"],
-                     "--loads", tiny["loads"], "--prices", tiny["prices"],
-                     "--out", str(out)]) == 0
-        run = json.loads((out / "run.json").read_text())
-        assert run["scale"] == 1.2
-
     def test_horizon_flag(self, tiny):
         out = tiny["dir"] / "h1"
         assert main(["solve", "--network", tiny["network"],
@@ -263,9 +254,7 @@ class TestSolve:
         out = subprocess.run(
             [sys.executable, "-c", script, *argv], capture_output=True,
             text=True, timeout=60, check=True,
-            env={**{k: v for k, v in os.environ.items()
-                    if not k.startswith("RECONF_")},
-                 "PYTHONPATH": str(Path(reconf.__file__).parents[1])})
+            env={**os.environ, "PYTHONPATH": str(Path(reconf.__file__).parents[1])})
         assert out.stdout.split()[-5:] == ["0", "False", "False", "False", "False"]
 
     def test_loads_header_mismatch(self, tiny, tmp_path):
@@ -330,6 +319,52 @@ class TestReport:
         code = main(["report", str(run), "--out", str(tiny["dir"] / "rep")])
         assert code == 1
         assert "not radial" in capsys.readouterr().err
+
+    def test_module_run_exits_2_on_a_missing_input(self, tiny):
+        # run as `python -m reconf.cli`, the audit's errors must still be
+        # caught: cli.py is then __main__ and the audit imports reconf.cli
+        run = self._solve(tiny, "run")
+        Path(tiny["network"]).unlink()
+        out = subprocess.run(
+            [sys.executable, "-m", "reconf.cli", "report", str(run),
+             "--out", str(tiny["dir"] / "rep")], capture_output=True,
+            text=True, timeout=60,
+            env={**os.environ, "PYTHONPATH": str(Path(reconf.__file__).parents[1])})
+        assert out.returncode == 2
+        assert out.stderr.startswith("error: cannot read the network of run")
+        assert out.stderr.count("\n") == 1
+
+
+@pytest.mark.parametrize("flags, load, run_json", [
+    ([], "-5.0", None),
+    ([], "nan", None),
+    (["--epsilon", "nan"], "5.0", None),
+    (["--epsilon", "inf"], "5.0", None),
+    (["--gap", "nan"], "5.0", None),
+    (["--scale", "nan"], "5.0", None),
+    ([], "5.0", {"epsilon": -1.0}),
+    ([], "5.0", {"scale": -1.0}),
+    ([], "5.0", {"horizon": 3}),
+], ids=["negative-load", "nan-load", "epsilon-nan", "epsilon-inf", "gap-nan",
+        "scale-nan", "report-negative-epsilon", "report-negative-scale",
+        "report-horizon-past-the-profiles"])
+def test_refused_input_exits_2(tiny, capsys, flags, load, run_json):
+    """An out-of-range or non-finite input of `solve`, or in the run.json
+    that `report` audits, is malformed: exit 2 with a one-line message."""
+    loads = _write(tiny["dir"] / "loads.csv",
+                   _TINY_LOADS.replace("5.000000", load, 1))
+    run = tiny["dir"] / "run"
+    argv = ["solve", "--network", tiny["network"], "--loads", loads,
+            "--prices", tiny["prices"], "--out", str(run), *flags]
+    if run_json is not None:
+        assert main(argv) == 0
+        record = json.loads((run / "run.json").read_text())
+        (run / "run.json").write_text(json.dumps({**record, **run_json}))
+        capsys.readouterr()
+        argv = ["report", str(run), "--out", str(tiny["dir"] / "rep")]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 @pytest.fixture(scope="module")

@@ -177,10 +177,6 @@ class TestValidate:
     def test_no_warning_when_loads_positive(self):
         assert validate(_star(2), loads=[1.0, 5.0, 2.0]).warnings == []
 
-    def test_report_to_dict(self):
-        d = validate(_star(1)).to_dict()
-        assert d["is_valid"] is True and d["errors"] == []
-
 
 class TestSpanningForest:
     def test_simple_tree(self):

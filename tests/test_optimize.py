@@ -415,10 +415,19 @@ def radial_closed_sets(net):
             if is_spanning_forest(net, always | set(combo))]
 
 
+def assignment_ids(forests):
+    """Each forest's assignment id, rebuilt from the forests grouped by
+    assignment."""
+    ids = np.empty(forests.count, dtype=np.intp)
+    ids[forests.grouped] = np.repeat(np.arange(len(forests.starts) - 1),
+                                     np.diff(forests.starts))
+    return ids
+
+
 def forest_labels(forests):
     """Per bus and forest, the feeding substation's position, rebuilt from
-    the assignment ids."""
-    return forests.assignments[:, forests.assignment]
+    the grouped forests."""
+    return forests.assignments[:, assignment_ids(forests)]
 
 
 def layouts(forests):
@@ -459,7 +468,8 @@ def listed_closed_sets(net, forests):
             zip(depths[:, f].tolist(), labels[:, f].tolist()))
     columns = {tuple(col) for col in forests.assignments.T.tolist()}
     assert len(columns) == forests.assignments.shape[1]
-    assert set(forests.assignment.tolist()) == set(range(len(columns)))
+    assert sorted(forests.grouped.tolist()) == list(range(forests.count))
+    assert set(assignment_ids(forests).tolist()) == set(range(len(columns)))
     return out
 
 

@@ -55,7 +55,7 @@ BRANCH_AND_BOUND = ENUMERATED | {
 
 def traced_hour(path: str) -> dict:
     """Span counts, the hour ids of the solve's spans, and the nodes."""
-    env = {k: v for k, v in os.environ.items() if not k.startswith("RECONF_")}
+    env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(PERFBENCH), str(TESTS), str(Path(reconf.__file__).parents[1])])
     out = subprocess.run([sys.executable, "-c", SCRIPT, path],
