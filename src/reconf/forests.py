@@ -109,11 +109,11 @@ class _Forests:
     flexible edges. assignments[b, a] is the position in net.substations of
     the substation feeding bus b under distinct assignment a, and
     grouped[starts[a]:starts[a + 1]] lists assignment a's forests in
-    increasing order. lines holds the sum of each
-    line's two end buses, its rating and its reactance as arrays, and
-    capacity[s] what substation s can send out: the ratings of its lines,
-    each plus the screen's slack. layouts builds and keeps the layouts that
-    layout() reads.
+    increasing order. lines holds the sum of each line's two end buses,
+    its rating and its reactance as arrays, and capacity[s] what
+    substation s can send out: the ratings of its lines, each plus the
+    screen's slack. layouts builds and keeps the layouts that layout()
+    reads.
     """
 
     count: int | float          # inf only past float range, never listed
@@ -352,13 +352,12 @@ def _forest_bytes(net: Network, n_nodes: int, edges, count) -> float:
     batch of _LIST_CHUNK forests' closed flag per edge and reached flag
     and label per bus; the words with their 8-byte order, one sorted word
     and 4 bytes of flags. 128 KiB and 256 bytes per line cover the Python
-    objects. The assignments' labels,
-    n_buses bytes each, are left out: their number is known only once
-    listed, and far below the forests' (2,767 for case 4's 16,017; 8,491
-    for 398,545 on a 150-bus variant). An hour adds arrays over the
-    assignments, the kept layouts (_KEPT_LAYOUTS forests of 2 * n_buses
-    entries) and a screened chunk's arrays, about 40 bytes per bus and
-    forest.
+    objects. The assignments' labels, n_buses bytes each, are left out:
+    their number is known only once listed, and far below the forests'
+    (2,767 for case 4's 16,017; 8,491 for 398,545 on a 150-bus variant).
+    An hour adds arrays over the assignments, the kept layouts
+    (_KEPT_LAYOUTS forests of 2 * n_buses entries) and a screened chunk's
+    arrays, about 40 bytes per bus and forest.
     """
     n = net.n_buses
     opened = (len(edges) - n_nodes + 1) * np.min_scalar_type(-len(edges)).itemsize
@@ -534,8 +533,8 @@ def _radial_forests(net: Network) -> _Forests:
                              if b in (l.from_bus, l.to_bus))
                          for b in net.substations])
     edge_lines = np.array([k for k, _, _ in edges], dtype=np.intp)
-    return _Forests(count, open_sets, edge_lines, assignments, grouped, starts, lines, capacity,
-                    _Layouts(net, arcs, open_sets, len(edges)))
+    return _Forests(count, open_sets, edge_lines, assignments, grouped, starts,
+                    lines, capacity, _Layouts(net, arcs, open_sets, len(edges)))
 
 
 def _in_rank_order(forests: _Forests, ranked: np.ndarray, cost: np.ndarray):
