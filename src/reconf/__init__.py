@@ -59,7 +59,6 @@ __all__ = [
     "parse_network",
     "parse_network_file",
     "required_closed_flexible_count",
-    "scale_loads",
     "serialize_network",
     "solve_day",
     "solve_flows",
@@ -67,7 +66,7 @@ __all__ = [
     "validate",
 ]
 
-_GENERATOR = ("FixtureSpec", "day_problem", "gen_price_profile", "scale_loads")
+_GENERATOR = ("FixtureSpec", "day_problem", "gen_price_profile")
 
 
 def __getattr__(name):

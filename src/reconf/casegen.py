@@ -5,8 +5,8 @@ feeders joined by tie lines. Four cases share one physical universe and
 one seeded draw of reactances and loads; they differ only in which tie
 lines exist and how many lines are declared switchable, so their optimal
 costs are directly comparable. Also provides the normalized daily load
-shape, substation price profiles, and load scaling helpers that the day
-optimizer consumes.
+shape and the substation price profiles that the day optimizer
+consumes.
 """
 
 from __future__ import annotations
@@ -70,8 +70,9 @@ class FixtureSpec:
             raise ValueError("reactance_range must be positive and ordered")
         if not 0 < self.load_range[0] <= self.load_range[1]:
             raise ValueError("load_range must be positive and ordered")
-        if self.rating_scale <= 0:
-            raise ValueError("rating_scale must be positive")
+        if not 0 < self.rating_scale < np.inf:
+            raise ValueError(f"rating scale {self.rating_scale} is not "
+                             "positive and finite")
 
 
 def _universe(spec: FixtureSpec):
@@ -166,19 +167,8 @@ def gen_price_profile(seed: int = 0, shape: str = "diurnal") -> np.ndarray:
     raise ValueError(f"unknown price shape {shape!r}")
 
 
-def scale_loads(problem: DayProblem, factor: float) -> DayProblem:
-    """Multiply every load by factor, leaving the rest untouched."""
-    if factor <= 0:
-        raise ValueError("load scale factor must be positive")
-    return DayProblem(problem.net, problem.loads * factor, problem.prices)
-
-
-def day_problem(spec: FixtureSpec, price_shape: str = "diurnal",
-                price_seed: int | None = None) -> DayProblem:
+def day_problem(spec: FixtureSpec, price_shape: str = "diurnal") -> DayProblem:
     """Assemble the 24-hour problem for a generated case network."""
     net = gen_three_feeder(spec)
-    base = base_loads(spec)
-    loads = np.outer(LOAD_SHAPE, base)
-    prices = gen_price_profile(spec.seed if price_seed is None else price_seed,
-                               price_shape)
-    return DayProblem(net, loads, prices)
+    loads = np.outer(LOAD_SHAPE, base_loads(spec))
+    return DayProblem(net, loads, gen_price_profile(spec.seed, price_shape))

@@ -142,12 +142,6 @@ def _substation_columns(net: Network) -> list[str]:
     return [str(b + net.id_base) for b in net.substations]
 
 
-# cost cells are written from integer micro-units so that the printed
-# total is exactly the sum of the printed hourly entries
-def _micros(value: float) -> int:
-    return int(round(value * 1_000_000))
-
-
 def _micro_str(micro: int) -> str:
     sign = "-" if micro < 0 else ""
     micro = abs(micro)
@@ -158,6 +152,32 @@ def _loading_cells(net: Network, flows: dict[str, float]) -> list[str]:
     """Each line's loading in percent of its rating, as loading.csv holds it."""
     return [f"{100.0 * abs(flows.get(l.id, 0.0)) / l.rating:.6f}"
             for l in net.lines]
+
+
+# the files _tables renders, in its order
+_TABLE_FILES = ("schedule.csv", "cost.csv", "loading.csv")
+
+
+def _tables(net: Network, hours) -> tuple[list[list[str]], ...]:
+    """The rows of schedule.csv, cost.csv and loading.csv for a day's
+    HourSolutions, as `solve` writes them and the report's audit compares
+    them. Costs are rounded to integer micro-units first, so the day's
+    total, the last cell of cost.csv, is exactly the sum of the hourly
+    entries."""
+    flex_ids = sorted(l.id for l in net.flexible_lines)
+    schedule = [["hour"] + flex_ids]
+    cost = [["hour", "cost"]]
+    loading = [["hour"] + [l.id for l in net.lines]]
+    total = 0
+    for t, hour in enumerate(hours, start=1):
+        if flex_ids:
+            schedule.append([str(t)] + [str(hour.statuses[lid]) for lid in flex_ids])
+        micro = int(round(hour.cost * 1_000_000))
+        total += micro
+        cost.append([str(t), _micro_str(micro)])
+        loading.append([str(t)] + _loading_cells(net, hour.flows))
+    cost.append(["total", _micro_str(total)])
+    return schedule, cost, loading
 
 
 def _sha256(path: str) -> str:
@@ -182,9 +202,12 @@ def _sha256(path: str) -> str:
 def cmd_generate(args) -> int:
     # imported here so that a solve never compiles the generator
     from .casegen import FixtureSpec, day_problem
-    spec = FixtureSpec(case_id=args.case, seed=args.seed,
-                       rating_scale=args.rating_scale)
-    problem = day_problem(spec, price_shape=args.price_shape)
+    try:
+        problem = day_problem(FixtureSpec(case_id=args.case, seed=args.seed,
+                                          rating_scale=args.rating_scale),
+                              price_shape=args.price_shape)
+    except ValueError as exc:
+        raise _io_error(str(exc)) from exc
     out = Path(args.out)
     try:
         out.mkdir(parents=True, exist_ok=True)
@@ -245,42 +268,27 @@ def cmd_solve(args) -> int:
     out = Path(args.out)
     try:
         out.mkdir(parents=True, exist_ok=True)
-        _write_outputs(out, problem.net, day, args, elapsed)
+        total = _write_outputs(out, problem.net, day, args, elapsed)
     except OSError as exc:
         raise _io_error(f"cannot write to {out}: {exc}") from exc
-    print(f"total cost {_micro_str(_micros(day.total_cost))}, "
-          f"{len(day.hours)} hours, outputs in {out}")
+    print(f"total cost {total}, {len(day.hours)} hours, outputs in {out}")
     return EXIT_OK
 
 
 def _write_outputs(out: Path, net: Network, day: DaySolution,
-                   args: argparse.Namespace, elapsed: float) -> None:
-    flex_ids = sorted(l.id for l in net.flexible_lines)
-    with open(out / "schedule.csv", "w", newline="") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(["hour"] + flex_ids)
-        if flex_ids:
-            for t, hour in enumerate(day.hours):
-                w.writerow([t + 1] + [hour.statuses[lid] for lid in flex_ids])
-
-    hour_micros = [_micros(h.cost) for h in day.hours]
-    with open(out / "cost.csv", "w", newline="") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(["hour", "cost"])
-        for t, micro in enumerate(hour_micros):
-            w.writerow([t + 1, _micro_str(micro)])
-        w.writerow(["total", _micro_str(sum(hour_micros))])
-
-    with open(out / "loading.csv", "w", newline="") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(["hour"] + [l.id for l in net.lines])
-        for t, hour in enumerate(day.hours):
-            w.writerow([t + 1] + _loading_cells(net, hour.flows))
+                   args: argparse.Namespace, elapsed: float) -> str:
+    """Write a solved day's files; return its total, as cost.csv holds it."""
+    tables = _tables(net, day.hours)
+    for name, rows in zip(_TABLE_FILES, tables):
+        with open(out / name, "w", newline="") as fh:
+            csv.writer(fh, lineterminator="\n").writerows(rows)
+    schedule, cost, _loading = tables
+    total = cost[-1][-1]
 
     nodes = sum(h.stats.nodes for h in day.hours if h.stats)
     relaxations = sum(h.stats.relaxations for h in day.hours if h.stats)
     with open(out / "summary.txt", "w") as fh:
-        fh.write(f"total cost: {_micro_str(sum(hour_micros))}\n")
+        fh.write(f"total cost: {total}\n")
         fh.write(f"hours: {len(day.hours)}\n")
         fh.write(f"branch-and-bound nodes: {nodes}\n")
         fh.write(f"relaxations solved: {relaxations}\n")
@@ -294,38 +302,36 @@ def _write_outputs(out: Path, net: Network, day: DaySolution,
                    for what in ("network", "loads", "prices")},
         "n_buses": net.n_buses,
         "n_lines": len(net.lines),
-        "flexible_lines": flex_ids,
+        "flexible_lines": schedule[0][1:],
         "horizon": len(day.hours),
         "scale": args.scale,
         "gap": args.gap,
         "epsilon": args.epsilon,
         "angle_lo": args.angle_lo,
         "angle_hi": args.angle_hi,
-        "total_cost": _micro_str(sum(hour_micros)),
+        "total_cost": total,
         "nodes": nodes,
     }
     (out / "run.json").write_text(json.dumps(run, indent=2, sort_keys=True) + "\n")
+    return total
 
 
 def cmd_report(args) -> int:
     # imported here so that a solve never compiles the audit
     from .audit import audit, read_run
-    runs = []
-    for run_dir in args.runs:
-        run, schedule = read_run(run_dir)
-        runs.append((run_dir, run, schedule))
+    runs = [(run_dir, read_run(run_dir)) for run_dir in args.runs]
 
     first = runs[0][1]
-    for run_dir, run, _schedule in runs[1:]:
+    for run_dir, run in runs[1:]:
         if run.get("n_buses") != first.get("n_buses"):
             print(f"error: {run_dir} solved a different network "
                   f"({run.get('n_buses')} buses vs {first.get('n_buses')})",
                   file=sys.stderr)
             return EXIT_INVALID
 
-    for run_dir, run, schedule in runs:
+    for run_dir, run in runs:
         try:
-            problem = audit(run_dir, run, schedule)
+            problem = audit(run_dir, run)
         except (KeyError, TypeError) as exc:
             raise _io_error(f"malformed run.json in {run_dir}: {exc!r}") from None
         if problem is not None:
@@ -339,7 +345,7 @@ def cmd_report(args) -> int:
         with open(out / "comparison.csv", "w", newline="") as fh:
             w = csv.writer(fh, lineterminator="\n")
             w.writerow(["run", "total_cost", "delta_pct"])
-            for run_dir, run, _schedule in runs:
+            for run_dir, run in runs:
                 cost = float(run["total_cost"])
                 delta = 100.0 * (cost - base_cost) / base_cost
                 w.writerow([Path(run_dir).name, run["total_cost"], f"{delta:.6f}"])

@@ -10,6 +10,7 @@ forest in which every bus is connected to exactly one substation.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Any
@@ -162,8 +163,10 @@ def _require_keys(obj: dict, allowed: set[str], what: str) -> None:
 
 
 def _number(value: Any, what: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise NetworkFormatError(f"{what} must be a number, got {value!r}")
+    # json parses NaN, Infinity and integers past the float range
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or not abs(value) <= sys.float_info.max):
+        raise NetworkFormatError(f"{what} must be a finite number, got {value!r}")
     return float(value)
 
 

@@ -841,10 +841,11 @@ def solve_day(problem: DayProblem, model_opts: ModelOptions | None = None,
 
     Hours share no variables, so they are solved independently: in
     sequence, where each hour's branch and bound (if any) is seeded with
-    the previous hour's topology, or in parallel when jobs > 1. The
-    network's forest set is built once, after the first hour's model,
-    and once per worker process when parallel. A failing hour raises with
-    its 0-based index and the solved hours.
+    the previous hour's topology, or in parallel when jobs > 1, on at most
+    one worker process per hour. The network's forest set is built once,
+    after the first hour's model, and once per worker process when
+    parallel. A failing hour raises with its 0-based index and the solved
+    hours.
     """
     model_opts = model_opts or ModelOptions()
     solver_opts = solver_opts or SolverOptions()
@@ -858,7 +859,8 @@ def solve_day(problem: DayProblem, model_opts: ModelOptions | None = None,
         from concurrent.futures import ProcessPoolExecutor
         solved: dict[int, HourSolution] = {}
         failure: tuple[int, Exception] | None = None
-        with ProcessPoolExecutor(max_workers=jobs, initializer=_start_worker,
+        with ProcessPoolExecutor(max_workers=min(jobs, problem.horizon),
+                                 initializer=_start_worker,
                                  initargs=(problem.net, model_opts,
                                            solver_opts)) as pool:
             futures = {t: pool.submit(

@@ -15,7 +15,7 @@ import pytest
 from forest_oracle import RadialTopologies, kirchhoff_count
 from hour_oracle import enumerate_hour, solve_flows_dense
 from oracle_lp import enumerate_optimum, random_program
-from reconf.casegen import FixtureSpec, day_problem, scale_loads
+from reconf.casegen import FixtureSpec, day_problem
 from reconf.cli import main
 from reconf.dcflow import solve_flows
 from reconf.lp import OPTIMAL, UNBOUNDED, LinearProgram, PreparedLp
@@ -166,7 +166,8 @@ def test_heavier_loads_cost_more():
     problem = _problem(1)
     costs = {1.0: _solved(1)[0].total_cost}
     for alpha in (1.1, 1.2):
-        costs[alpha] = solve_day(scale_loads(problem, alpha)).total_cost
+        costs[alpha] = solve_day(
+            DayProblem(problem.net, problem.loads * alpha, problem.prices)).total_cost
     assert costs[1.0] < costs[1.1] < costs[1.2]
     for alpha in (1.1, 1.2):
         assert costs[alpha] >= alpha * costs[1.0] - 1e-6

@@ -10,7 +10,6 @@ from reconf.casegen import (
     day_problem,
     gen_price_profile,
     gen_three_feeder,
-    scale_loads,
 )
 from reconf.model import required_closed_flexible_count, validate
 
@@ -154,27 +153,12 @@ class TestDayProblem:
         base = base_loads(spec)
         assert np.allclose(prob.loads, np.outer(LOAD_SHAPE, base))
 
-    def test_scale_loads(self):
-        prob = day_problem(FixtureSpec(case_id=1))
-        bigger = scale_loads(prob, 1.2)
-        assert np.allclose(bigger.loads, 1.2 * prob.loads)
-        assert bigger.net is prob.net
-        assert np.array_equal(bigger.prices, prob.prices)
-
-    def test_scale_loads_rejects_nonpositive(self):
-        prob = day_problem(FixtureSpec(case_id=1))
-        with pytest.raises(ValueError):
-            scale_loads(prob, 0.0)
-        with pytest.raises(ValueError):
-            scale_loads(prob, -1.0)
-
 
 class TestPackageNames:
     """reconf serves the generator's names on first use."""
 
     def test_generator_names_resolve(self):
-        for name in ("FixtureSpec", "day_problem", "gen_price_profile",
-                     "scale_loads"):
+        for name in ("FixtureSpec", "day_problem", "gen_price_profile"):
             assert getattr(reconf, name) is getattr(casegen, name)
 
     def test_star_import_binds_every_public_name(self):

@@ -335,36 +335,87 @@ class TestReport:
         assert out.stderr.count("\n") == 1
 
 
-@pytest.mark.parametrize("flags, load, run_json", [
-    ([], "-5.0", None),
-    ([], "nan", None),
-    (["--epsilon", "nan"], "5.0", None),
-    (["--epsilon", "inf"], "5.0", None),
-    (["--gap", "nan"], "5.0", None),
-    (["--scale", "nan"], "5.0", None),
-    ([], "5.0", {"epsilon": -1.0}),
-    ([], "5.0", {"scale": -1.0}),
-    ([], "5.0", {"horizon": 3}),
+@pytest.mark.parametrize("command, flags, load, network, run_json", [
+    ("solve", [], "-5.0", None, None),
+    ("solve", [], "nan", None, None),
+    ("solve", ["--epsilon", "nan"], "5.0", None, None),
+    ("solve", ["--epsilon", "inf"], "5.0", None, None),
+    ("solve", ["--gap", "nan"], "5.0", None, None),
+    ("solve", ["--scale", "nan"], "5.0", None, None),
+    ("report", [], "5.0", None, {"epsilon": -1.0}),
+    ("report", [], "5.0", None, {"scale": -1.0}),
+    ("report", [], "5.0", None, {"horizon": 3}),
+    ("validate", [], "5.0", ('"rating_mw": 10.0', '"rating_mw": NaN'), None),
+    ("validate", [], "5.0", ('"rating_mw": 10.0', '"rating_mw": 1' + "0" * 400),
+     None),
+    ("solve", [], "5.0", ('"rating_mw": 10.0', '"rating_mw": NaN'), None),
+    ("solve", [], "5.0", ('"x": 0.05', '"x": Infinity'), None),
+    ("report", [], "5.0", ('"x": 0.05', '"x": Infinity'), {}),
+    ("generate", ["--rating-scale", "-1"], "5.0", None, None),
+    ("generate", ["--rating-scale", "nan"], "5.0", None, None),
 ], ids=["negative-load", "nan-load", "epsilon-nan", "epsilon-inf", "gap-nan",
         "scale-nan", "report-negative-epsilon", "report-negative-scale",
-        "report-horizon-past-the-profiles"])
-def test_refused_input_exits_2(tiny, capsys, flags, load, run_json):
-    """An out-of-range or non-finite input of `solve`, or in the run.json
-    that `report` audits, is malformed: exit 2 with a one-line message."""
+        "report-horizon-past-the-profiles", "validate-nan-rating",
+        "validate-rating-past-the-float-range",
+        "nan-rating", "infinite-reactance", "report-infinite-reactance",
+        "generate-negative-rating-scale", "generate-nan-rating-scale"])
+def test_refused_input_exits_2(tiny, capsys, command, flags, load, network,
+                               run_json):
+    """An out-of-range or non-finite input of `solve`, `validate` or
+    `generate`, or in the run that `report` audits, is malformed: exit 2
+    with a one-line message. network replaces a number of the network
+    file; report reads the file so replaced after the solve, under its new
+    digest."""
     loads = _write(tiny["dir"] / "loads.csv",
                    _TINY_LOADS.replace("5.000000", load, 1))
+    bad_network = network and _tiny_doc().replace(*network, 1)
     run = tiny["dir"] / "run"
     argv = ["solve", "--network", tiny["network"], "--loads", loads,
             "--prices", tiny["prices"], "--out", str(run), *flags]
-    if run_json is not None:
+    if command == "report":
         assert main(argv) == 0
         record = json.loads((run / "run.json").read_text())
+        if bad_network:
+            Path(tiny["network"]).write_text(bad_network)
+            record["sha256"]["network"] = hashlib.sha256(
+                bad_network.encode()).hexdigest()
         (run / "run.json").write_text(json.dumps({**record, **run_json}))
         capsys.readouterr()
         argv = ["report", str(run), "--out", str(tiny["dir"] / "rep")]
+    elif bad_network:
+        Path(tiny["network"]).write_text(bad_network)
+    if command == "validate":
+        argv = ["validate", "--network", tiny["network"]]
+    if command == "generate":
+        argv = ["generate", "--case", "1", *flags, "--out", str(run)]
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.fixture(scope="module")
+def case3_inputs(tmp_path_factory):
+    base = tmp_path_factory.mktemp("case3")
+    assert main(["generate", "--case", "3", "--out", str(base)]) == 0
+    return base
+
+
+@pytest.mark.parametrize("scale", ["0.7", "0.8", "0.9", "1.1"])
+def test_printed_total_is_the_files_total(case3_inputs, tmp_path, capsys, scale):
+    # at these scales the float sum of the hourly costs rounds to another
+    # micro-unit than the sum of the rounded hourly entries
+    out = tmp_path / "run"
+    capsys.readouterr()
+    assert main(["solve", "--network", str(case3_inputs / "network.json"),
+                 "--loads", str(case3_inputs / "loads.csv"),
+                 "--prices", str(case3_inputs / "prices.csv"),
+                 "--out", str(out), "--scale", scale]) == 0
+    printed = capsys.readouterr().out.split(",")[0].removeprefix("total cost ")
+    label, in_cost = (out / "cost.csv").read_text().splitlines()[-1].split(",")
+    in_summary = (out / "summary.txt").read_text().splitlines()[0]
+    in_run = json.loads((out / "run.json").read_text())["total_cost"]
+    assert label == "total"
+    assert printed == in_cost == in_summary.removeprefix("total cost: ") == in_run
 
 
 @pytest.fixture(scope="module")
@@ -407,6 +458,16 @@ class TestReportAudit:
         (run / "cost.csv").write_text("\n".join(rows) + "\n")
         assert self.report(run, tmp_path) == 1
         assert "cost.csv row 2" in capsys.readouterr().err
+
+    def test_rewritten_schedule_cell_is_refused(self, case1_run, tmp_path, capsys):
+        # "00" reads as an open line, but solve never writes it
+        run = self.copy(case1_run, tmp_path)
+        rows = (run / "schedule.csv").read_text().splitlines()
+        head, sep, tail = rows[3].partition(",0")
+        rows[3] = head + sep + "0" + tail
+        (run / "schedule.csv").write_text("\n".join(rows) + "\n")
+        assert self.report(run, tmp_path) == 1
+        assert "schedule.csv row 4 differs" in capsys.readouterr().err
 
     def test_radial_schedule_over_a_rating_is_refused(self, case1_run, tmp_path,
                                                       capsys):

@@ -1,3 +1,4 @@
+import concurrent.futures
 import hashlib
 import time
 import tracemalloc
@@ -880,6 +881,39 @@ class TestSolveDay:
         serial = solve_day(problem)
         parallel = solve_day(problem, jobs=2)
         assert parallel.total_cost == pytest.approx(serial.total_cost, rel=1e-9)
+
+    def test_parallel_day_starts_no_more_workers_than_hours(self, monkeypatch):
+        workers = []
+        pool = concurrent.futures.ProcessPoolExecutor
+
+        def recording(max_workers, **kwargs):
+            workers.append(max_workers)
+            return pool(max_workers, **kwargs)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", recording)
+        day = solve_day(two_hour_problem(), jobs=4)
+        assert workers == [2]
+        assert day.total_cost == solve_day(two_hour_problem()).total_cost
+
+    def test_serial_day_seeds_each_hour_with_the_last(self, monkeypatch):
+        # the grid is over the byte budget, so every hour goes to the
+        # branch and bound, which tries its seeds first; light loads close
+        # each hour at the root
+        calls = []
+
+        def spy(model, opts, seeds, forests=None):
+            sol = solve_hour(model, opts, seeds, forests=forests)
+            calls.append((seeds, sol))
+            return sol
+
+        monkeypatch.setattr(optimize, "solve_hour", spy)
+        loads = np.full((3, 20), 0.01) * np.array([[1.0], [1.02], [1.04]])
+        prices = np.array([[10.0, 12.0], [12.0, 10.0], [10.0, 12.0]])
+        solve_day(DayProblem(grid_net(), loads, prices))
+        assert len(calls) == 3 and list(calls[0][0]) == []
+        for (seeds, sol), (_, previous) in zip(calls[1:], calls):
+            assert sol.stats is not None
+            assert list(seeds) == [previous.statuses]
 
     def test_infeasible_hour_reports_index_and_partials(self):
         net = two_sub_net()
