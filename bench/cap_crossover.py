@@ -43,7 +43,6 @@ import resource
 import sys
 import time
 import tracemalloc
-from dataclasses import replace
 
 import numpy as np
 
@@ -83,7 +82,7 @@ def variant(extra, size, fixed) -> opt.DayProblem:
     for line in problem.net.lines:
         a, b = line.from_bus, line.to_bus
         if b == a + 1 and a // size == b // size and a % size < fixed:
-            line = replace(line, flexible=False)
+            line = line._replace(flexible=False)
         lines.append(line)
     rng = np.random.default_rng(7)
     for (fa, ka), (fb, kb) in extra:

@@ -11,11 +11,9 @@ consumes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .model import Bus, Line, Network
+from .model import Bus, Line, Network, _Frozen
 from .optimize import DayProblem
 
 # normalized hourly multipliers: overnight trough, midday plateau at 1.0
@@ -50,18 +48,18 @@ _TIES_PRESENT = {1: 2, 2: 3, 3: 4, 4: 4}   # case id -> how many ties exist
 _TIES_SWITCHABLE = {1: 2, 2: 3, 3: 4}      # case 4 switches everything anyway
 
 
-@dataclass(frozen=True)
-class FixtureSpec:
+class FixtureSpec(_Frozen):
     """Knobs for one generated network; equal specs generate equal bytes."""
 
-    case_id: int
-    seed: int = 0
-    feeder_size: int = 13
-    reactance_range: tuple[float, float] = (0.01, 0.1)
-    load_range: tuple[float, float] = (0.02, 0.06)
-    rating_scale: float = 1.0
+    __slots__ = _fields = ("case_id", "seed", "feeder_size", "reactance_range",
+                           "load_range", "rating_scale")
 
-    def __post_init__(self):
+    def __init__(self, case_id: int, seed: int = 0, feeder_size: int = 13,
+                 reactance_range: tuple[float, float] = (0.01, 0.1),
+                 load_range: tuple[float, float] = (0.02, 0.06),
+                 rating_scale: float = 1.0):
+        super().__init__(case_id, seed, feeder_size, reactance_range,
+                         load_range, rating_scale)
         if self.case_id not in (1, 2, 3, 4):
             raise ValueError(f"case_id must be 1-4, got {self.case_id}")
         if self.feeder_size < 4:

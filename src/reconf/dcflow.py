@@ -11,7 +11,7 @@ equals (theta_from - theta_to) / x with x in per-unit and flow in MW.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -22,8 +22,7 @@ class TopologyError(ValueError):
     """Raised when the closed lines cannot carry the given loads radially."""
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(NamedTuple):
     """A closed line whose flow magnitude exceeds its rating."""
 
     line_id: str
@@ -31,8 +30,7 @@ class Violation:
     rating: float
 
 
-@dataclass(frozen=True)
-class FlowSolution:
+class FlowSolution(NamedTuple):
     """Flows for one topology and load snapshot.
 
     flows has an entry for every closed line (open lines carry exactly 0

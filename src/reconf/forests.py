@@ -14,9 +14,8 @@ only when _screen first reaches it, and kept for later hours.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import inf, prod
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
@@ -97,8 +96,7 @@ class _Layouts:
         return _spread(self.net, self.arcs, shut, layout=True)
 
 
-@dataclass(frozen=True)
-class _Forests:
+class _Forests(NamedTuple):
     """The radial topologies of one network, listed when they fit.
 
     count is Kirchhoff's count of spanning trees of the contracted graph.
@@ -113,7 +111,7 @@ class _Forests:
     its rating and its reactance as arrays, and capacity[s] what
     substation s can send out: the ratings of its lines, each plus the
     screen's slack. layouts builds and keeps the layouts that layout()
-    reads.
+    reads. The field count hides tuple.count, which nothing calls.
     """
 
     count: int | float          # inf only past float range, never listed

@@ -19,9 +19,11 @@ overrides by one of two routes, auditing every optimal outcome:
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
+
+from .model import _Record
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
@@ -54,20 +56,23 @@ class LpNumericalError(RuntimeError):
     """Raised when the final solution fails the feasibility audit."""
 
 
-@dataclass
-class LinearProgram:
+class LinearProgram(_Record):
     """A minimization program built incrementally.
 
     rows hold sparse (column, coefficient) pairs; senses are "<=", ">=" or
     "="; bounds may be +-inf. Duplicate columns within a row accumulate.
+    Each field is a list, empty unless given.
     """
 
-    objective: list[float] = field(default_factory=list)
-    lower: list[float] = field(default_factory=list)
-    upper: list[float] = field(default_factory=list)
-    rows: list[list[tuple[int, float]]] = field(default_factory=list)
-    senses: list[str] = field(default_factory=list)
-    rhs: list[float] = field(default_factory=list)
+    __slots__ = _fields = ("objective", "lower", "upper", "rows", "senses", "rhs")
+
+    def __init__(self, objective: list[float] | None = None,
+                 lower: list[float] | None = None,
+                 upper: list[float] | None = None,
+                 rows: list[list[tuple[int, float]]] | None = None,
+                 senses: list[str] | None = None, rhs: list[float] | None = None):
+        super().__init__(*([] if v is None else v for v in
+                           (objective, lower, upper, rows, senses, rhs)))
 
     @property
     def num_vars(self) -> int:
@@ -92,8 +97,7 @@ class LinearProgram:
         return len(self.rows) - 1
 
 
-@dataclass(frozen=True)
-class LpOutcome:
+class LpOutcome(NamedTuple):
     status: str
     objective: float | None = None
     values: np.ndarray | None = None
@@ -283,8 +287,7 @@ def _audited_outcome(prep: PreparedLp, lo, hi, values, basis, xb) -> LpOutcome:
     return LpOutcome(OPTIMAL, float(prep.c @ x), x)
 
 
-@dataclass(frozen=True)
-class BasisSnapshot:
+class BasisSnapshot(NamedTuple):
     """A solved vertex of one program: enough to warm-start a revision.
 
     basis holds the basic column indices over [variables | slacks];

@@ -11,9 +11,7 @@ from __future__ import annotations
 
 import json
 import sys
-from dataclasses import dataclass, field
-from functools import cached_property
-from typing import Any
+from typing import Any, NamedTuple
 
 
 class NetworkFormatError(ValueError):
@@ -68,8 +66,54 @@ class DisjointSet:
         return self.find(a) == self.find(b)
 
 
-@dataclass(frozen=True)
-class Bus:
+class _Record:
+    """A record that checks or derives its values, or stays mutable:
+    equality, repr and pickling by the fields named in _fields.
+
+    A subclass lists its fields in _fields and every attribute in
+    __slots__, and its __init__ passes their values, in the order of
+    __slots__, to _Record.__init__. Records that only hold their values
+    are NamedTuples.
+    """
+
+    __slots__ = ()
+
+    def __init__(self, *values):
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):
+        return type(self), self._values()
+
+
+class _Frozen(_Record):
+    """A _Record that hashes by its fields and refuses to change them."""
+
+    __slots__ = ()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __setattr__(self, name: str, value=None):
+        raise AttributeError(f"cannot change field {name!r} of a frozen "
+                             f"{type(self).__name__}")
+
+    __delattr__ = __setattr__
+
+
+class Bus(NamedTuple):
     """A network node. Substation buses import energy at a posted price."""
 
     id: int
@@ -77,8 +121,7 @@ class Bus:
     is_substation: bool
 
 
-@dataclass(frozen=True)
-class Line:
+class Line(NamedTuple):
     """A branch between two buses.
 
     reactance is in per-unit, rating in MW. Flexible lines may be switched
@@ -93,42 +136,28 @@ class Line:
     flexible: bool
 
 
-@dataclass(frozen=True)
-class Network:
+class Network(_Frozen):
     """Immutable parsed network. Bus ids are normalized to 0-based.
 
     id_base records whether the source file numbered buses from 0 or 1 so
-    that serialization and reports can use the original numbering.
+    that serialization and reports can use the original numbering. The
+    attributes after the fields are derived from them.
     """
 
-    buses: tuple[Bus, ...]
-    lines: tuple[Line, ...]
-    base_mva: float
-    id_base: int = 0
+    _fields = ("buses", "lines", "base_mva", "id_base")
+    __slots__ = _fields + ("n_buses", "substations", "flexible_lines",
+                           "nonflexible_lines", "lines_by_id")
 
-    @cached_property
-    def n_buses(self) -> int:
-        return len(self.buses)
-
-    @cached_property
-    def substations(self) -> tuple[int, ...]:
-        return tuple(b.id for b in self.buses if b.is_substation)
-
-    @cached_property
-    def flexible_lines(self) -> tuple[Line, ...]:
-        return tuple(l for l in self.lines if l.flexible)
-
-    @cached_property
-    def nonflexible_lines(self) -> tuple[Line, ...]:
-        return tuple(l for l in self.lines if not l.flexible)
-
-    @cached_property
-    def lines_by_id(self) -> dict[str, Line]:
-        return {l.id: l for l in self.lines}
+    def __init__(self, buses: tuple[Bus, ...], lines: tuple[Line, ...],
+                 base_mva: float, id_base: int = 0):
+        super().__init__(buses, lines, base_mva, id_base, len(buses),
+                         tuple(b.id for b in buses if b.is_substation),
+                         tuple(l for l in lines if l.flexible),
+                         tuple(l for l in lines if not l.flexible),
+                         {l.id: l for l in lines})
 
 
-@dataclass(frozen=True)
-class Finding:
+class Finding(NamedTuple):
     """One validation finding: a dotted code, a message, and the entity."""
 
     code: str
@@ -136,10 +165,17 @@ class Finding:
     entity: str
 
 
-@dataclass
-class ValidationReport:
-    errors: list[Finding] = field(default_factory=list)
-    warnings: list[Finding] = field(default_factory=list)
+class ValidationReport(_Record):
+    """What validate found: errors, which leave no radial topology, and
+    warnings, which do not stop a solve. Both are lists of Findings,
+    empty unless given, that validate appends to."""
+
+    __slots__ = _fields = ("errors", "warnings")
+
+    def __init__(self, errors: list[Finding] | None = None,
+                 warnings: list[Finding] | None = None):
+        super().__init__([] if errors is None else errors,
+                         [] if warnings is None else warnings)
 
     @property
     def is_valid(self) -> bool:

@@ -23,8 +23,7 @@ solve_day chains the hourly solves, optionally in parallel.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
@@ -33,6 +32,7 @@ from .forests import _base_contraction, _in_rank_order, _radial_forests, _screen
 from .model import (
     Network,
     StructureError,
+    _Frozen,
     is_spanning_forest,
     required_closed_flexible_count,
     validate,
@@ -65,16 +65,15 @@ class NodeLimitError(_HourError, RuntimeError):
     """Branch and bound exhausted its node budget before proving optimality."""
 
 
-@dataclass(frozen=True)
-class ModelOptions:
+class ModelOptions(_Frozen):
     """Model parameters: angle bounds (rad), which exact physics enforces,
     and the zero-load fill-in."""
 
-    angle_lo: float = -0.6
-    angle_hi: float = 0.6
-    epsilon: float = 1e-5
+    __slots__ = _fields = ("angle_lo", "angle_hi", "epsilon")
 
-    def __post_init__(self):
+    def __init__(self, angle_lo: float = -0.6, angle_hi: float = 0.6,
+                 epsilon: float = 1e-5):
+        super().__init__(angle_lo, angle_hi, epsilon)
         if not -np.inf < self.angle_lo < self.angle_hi < np.inf:
             raise ValueError("angle bounds must be finite, angle_lo strictly "
                              "below angle_hi")
@@ -82,36 +81,32 @@ class ModelOptions:
             raise ValueError("epsilon must be positive and finite")
 
 
-@dataclass(frozen=True)
-class SolverOptions:
+class SolverOptions(_Frozen):
     """Search parameters for the branch and bound: the relative optimality
     gap and the node budget. An enumerated hour uses neither."""
 
-    gap: float = 1e-6
-    max_nodes: int = 100_000
+    __slots__ = _fields = ("gap", "max_nodes")
 
-    def __post_init__(self):
+    def __init__(self, gap: float = 1e-6, max_nodes: int = 100_000):
+        super().__init__(gap, max_nodes)
         if not 0 < self.gap < np.inf:
             raise ValueError("gap must be positive and finite")
         if self.max_nodes < 1:
             raise ValueError("max_nodes must be at least 1")
 
 
-@dataclass(frozen=True)
-class DayProblem:
+class DayProblem(_Frozen):
     """A horizon of per-bus loads (MW) and per-substation prices.
 
     loads has shape (T, n_buses) indexed by bus id; prices has shape
     (T, n_substations) ordered like net.substations (ascending bus id).
     """
 
-    net: Network
-    loads: np.ndarray
-    prices: np.ndarray
+    __slots__ = _fields = ("net", "loads", "prices")
 
-    def __post_init__(self):
-        object.__setattr__(self, "loads", np.asarray(self.loads, dtype=float))
-        object.__setattr__(self, "prices", np.asarray(self.prices, dtype=float))
+    def __init__(self, net: Network, loads: np.ndarray, prices: np.ndarray):
+        super().__init__(net, np.asarray(loads, dtype=float),
+                         np.asarray(prices, dtype=float))
         if self.loads.ndim != 2 or self.loads.shape[1] != self.net.n_buses:
             raise ValueError(
                 f"loads must be (hours, {self.net.n_buses}), got {self.loads.shape}"
@@ -133,8 +128,7 @@ class DayProblem:
         return int(self.loads.shape[0])
 
 
-@dataclass(frozen=True)
-class SolveStats:
+class SolveStats(NamedTuple):
     """Search effort: nodes expanded, relaxations solved, proof bound."""
 
     nodes: int
@@ -143,8 +137,7 @@ class SolveStats:
     best_bound: float
 
 
-@dataclass(frozen=True)
-class HourSolution:
+class HourSolution(NamedTuple):
     """One hour's optimum: line statuses, physics, and its energy cost."""
 
     statuses: dict[str, int]
@@ -158,8 +151,7 @@ class HourSolution:
         return frozenset(lid for lid, on in self.statuses.items() if on)
 
 
-@dataclass(frozen=True)
-class DaySolution:
+class DaySolution(NamedTuple):
     """Hourly solutions in order plus their summed cost."""
 
     hours: tuple[HourSolution, ...]
@@ -188,8 +180,7 @@ def apply_epsilon_loads(loads, epsilon: float = 1e-5) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
-class HourModel:
+class HourModel(NamedTuple):
     """One hour's data: the network, its loads, substation prices and
     model options, and k_star, the number of switchable lines a radial
     topology closes."""
@@ -812,25 +803,23 @@ def solve_hour(model: HourModel, opts: SolverOptions | None = None,
     if forests.listed:
         return _solve_by_enumeration(model, forests)
     sol, stats = _solve_milp(model, opts, seeds)
-    return replace(sol, stats=stats)
+    return sol._replace(stats=stats)
 
 
-# one pool process's network and options, and its forest set once built
+# one pool process's network, options and forest set
 _worker: dict = {}
 
 
 def _start_worker(net: Network, model_opts: ModelOptions,
-                  solver_opts: SolverOptions) -> None:
+                  solver_opts: SolverOptions, forests: _Forests) -> None:
     _worker.clear()
     _worker.update(net=net, model_opts=model_opts, solver_opts=solver_opts,
-                   forests=None)
+                   forests=forests)
 
 
 def _solve_hour_task(loads_t, prices_t) -> HourSolution:
     model = build_hour_model(_worker["net"], loads_t, prices_t,
                              _worker["model_opts"])
-    if _worker["forests"] is None:
-        _worker["forests"] = _radial_forests(_worker["net"])
     return solve_hour(model, _worker["solver_opts"], forests=_worker["forests"])
 
 
@@ -842,10 +831,10 @@ def solve_day(problem: DayProblem, model_opts: ModelOptions | None = None,
     Hours share no variables, so they are solved independently: in
     sequence, where each hour's branch and bound (if any) is seeded with
     the previous hour's topology, or in parallel when jobs > 1, on at most
-    one worker process per hour. The network's forest set is built once,
-    after the first hour's model, and once per worker process when
-    parallel. A failing hour raises with its 0-based index and the solved
-    hours.
+    one worker process per hour. The network's forest set is built once:
+    after the first hour's model, or before the pool starts, which hands
+    it to every worker. A failing hour raises with its 0-based index and
+    the solved hours.
     """
     model_opts = model_opts or ModelOptions()
     solver_opts = solver_opts or SolverOptions()
@@ -861,8 +850,8 @@ def solve_day(problem: DayProblem, model_opts: ModelOptions | None = None,
         failure: tuple[int, Exception] | None = None
         with ProcessPoolExecutor(max_workers=min(jobs, problem.horizon),
                                  initializer=_start_worker,
-                                 initargs=(problem.net, model_opts,
-                                           solver_opts)) as pool:
+                                 initargs=(problem.net, model_opts, solver_opts,
+                                           _radial_forests(problem.net))) as pool:
             futures = {t: pool.submit(
                            _solve_hour_task,
                            apply_epsilon_loads(problem.loads[t], model_opts.epsilon),

@@ -1,5 +1,6 @@
 import concurrent.futures
 import hashlib
+import os
 import time
 import tracemalloc
 from itertools import combinations
@@ -930,6 +931,23 @@ class TestSolveDay:
         parallel = solve_day(problem, jobs=2)
         assert [h.statuses for h in parallel.hours] == [h.statuses for h in serial.hours]
         assert parallel.total_cost == serial.total_cost
+
+    def test_parallel_day_lists_the_forest_set_once(self, monkeypatch):
+        # the workers are forked with the wrapper, which refuses to list
+        # anywhere but in this process
+        pid, calls = os.getpid(), []
+
+        def listing(net):
+            if os.getpid() != pid:
+                raise RuntimeError("a worker listed the forest set")
+            calls.append(net)
+            return _radial_forests(net)
+
+        monkeypatch.setattr(optimize, "_radial_forests", listing)
+        problem = day_problem(FixtureSpec(case_id=3))
+        parallel = solve_day(problem, jobs=2)
+        assert len(calls) == 1
+        assert parallel.total_cost == solve_day(problem).total_cost
 
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_node_limit_reports_index_and_partials(self, jobs):
