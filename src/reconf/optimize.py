@@ -17,7 +17,8 @@ best-bound branch and bound over line statuses with an LP relaxation,
 verifying every candidate with exact physics; the relaxation is built,
 and the LP engine imported, only then.
 
-solve_day chains the hourly solves, optionally in parallel.
+solve_day chains the hourly solves, those of the branch and bound
+optionally in parallel.
 """
 
 from __future__ import annotations
@@ -47,8 +48,8 @@ class _HourError(Exception):
     """A failed hour.
 
     hour is the 0-based hour index when raised by the day driver (None for
-    a standalone solve); partial maps already-solved hour indices to their
-    solutions so a failed day can still be diagnosed.
+    a standalone solve); partial maps the indices of the hours before it,
+    all solved, to their solutions so a failed day can still be diagnosed.
     """
 
     def __init__(self, message: str, hour: int | None = None, partial=None):
@@ -337,12 +338,9 @@ def _solve_by_enumeration(model: HourModel, forests: _Forests) -> HourSolution:
             sol = evaluate_topology(net, closed, model.loads, model.prices,
                                     model.opts)
             if sol is not None:
-                stats = SolveStats(nodes=0, relaxations=0, incumbent_updates=1,
-                                   best_bound=sol.cost)
-                return HourSolution(statuses=sol.statuses,
-                                    injections=sol.injections,
-                                    angles=sol.angles, flows=sol.flows,
-                                    cost=sol.cost, stats=stats)
+                return sol._replace(stats=SolveStats(
+                    nodes=0, relaxations=0, incumbent_updates=1,
+                    best_bound=sol.cost))
     raise InfeasibleHourError("no feasible radial topology")
 
 
@@ -806,21 +804,13 @@ def solve_hour(model: HourModel, opts: SolverOptions | None = None,
     return sol._replace(stats=stats)
 
 
-# one pool process's network, options and forest set
-_worker: dict = {}
-
-
-def _start_worker(net: Network, model_opts: ModelOptions,
-                  solver_opts: SolverOptions, forests: _Forests) -> None:
-    _worker.clear()
-    _worker.update(net=net, model_opts=model_opts, solver_opts=solver_opts,
-                   forests=forests)
-
-
-def _solve_hour_task(loads_t, prices_t) -> HourSolution:
-    model = build_hour_model(_worker["net"], loads_t, prices_t,
-                             _worker["model_opts"])
-    return solve_hour(model, _worker["solver_opts"], forests=_worker["forests"])
+def _hour_result(t: int, solved: dict[int, HourSolution], call, *args):
+    """call(*args) for hour t, a failure re-raised with the hour's index
+    and the hours solved before it."""
+    try:
+        return call(*args)
+    except (InfeasibleHourError, NodeLimitError) as exc:
+        raise type(exc)(f"hour {t + 1}: {exc}", hour=t, partial=solved) from exc
 
 
 def solve_day(problem: DayProblem, model_opts: ModelOptions | None = None,
@@ -828,13 +818,15 @@ def solve_day(problem: DayProblem, model_opts: ModelOptions | None = None,
               jobs: int = 1) -> DaySolution:
     """Solve every hour of the horizon and sum the costs.
 
-    Hours share no variables, so they are solved independently: in
-    sequence, where each hour's branch and bound (if any) is seeded with
-    the previous hour's topology, or in parallel when jobs > 1, on at most
-    one worker process per hour. The network's forest set is built once:
-    after the first hour's model, or before the pool starts, which hands
-    it to every worker. A failing hour raises with its 0-based index and
-    the solved hours.
+    Hours share no variables, so they are solved independently. The
+    network's forest set is built once, after the first hour's model. A
+    listed network's hours are short, so they are solved in sequence
+    whatever jobs says. Otherwise, with jobs > 1, the hours go to the
+    branch and bound on min(jobs, horizon) worker processes, which get the
+    count-only forest set with each hour; in sequence, each hour's branch
+    and bound is seeded with the previous hour's topology. A failing hour
+    raises with its 0-based index and, as partial, the hours before it;
+    the pool cancels the hours it has not started.
     """
     model_opts = model_opts or ModelOptions()
     solver_opts = solver_opts or SolverOptions()
@@ -844,43 +836,29 @@ def solve_day(problem: DayProblem, model_opts: ModelOptions | None = None,
             "; ".join(f.message for f in report.errors) or "invalid network",
             report=report)
 
-    if jobs > 1:
-        from concurrent.futures import ProcessPoolExecutor
-        solved: dict[int, HourSolution] = {}
-        failure: tuple[int, Exception] | None = None
-        with ProcessPoolExecutor(max_workers=min(jobs, problem.horizon),
-                                 initializer=_start_worker,
-                                 initargs=(problem.net, model_opts, solver_opts,
-                                           _radial_forests(problem.net))) as pool:
-            futures = {t: pool.submit(
-                           _solve_hour_task,
-                           apply_epsilon_loads(problem.loads[t], model_opts.epsilon),
-                           problem.prices[t])
-                       for t in range(problem.horizon)}
-            for t in range(problem.horizon):
-                try:
-                    solved[t] = futures[t].result()
-                except (InfeasibleHourError, NodeLimitError) as exc:
-                    if failure is None:
-                        failure = (t, exc)
-        if failure is not None:
-            t, exc = failure
-            raise type(exc)(f"hour {t + 1}: {exc}", hour=t,
-                            partial=solved) from exc
-        return DaySolution.from_hours(solved[t] for t in range(problem.horizon))
-
-    hours: list[HourSolution] = []
+    solved: dict[int, HourSolution] = {}
+    pending = {}
     forests: _Forests | None = None
-    for t in range(problem.horizon):
-        loads_t = apply_epsilon_loads(problem.loads[t], model_opts.epsilon)
-        model = build_hour_model(problem.net, loads_t, problem.prices[t], model_opts)
-        if forests is None:
-            forests = _radial_forests(problem.net)
-        seeds = [hours[-1].statuses] if hours else []
-        try:
-            sol = solve_hour(model, solver_opts, seeds, forests=forests)
-        except (InfeasibleHourError, NodeLimitError) as exc:
-            raise type(exc)(f"hour {t + 1}: {exc}", hour=t,
-                            partial=dict(enumerate(hours))) from exc
-        hours.append(sol)
-    return DaySolution.from_hours(hours)
+    pool = None
+    try:
+        for t in range(problem.horizon):
+            loads_t = apply_epsilon_loads(problem.loads[t], model_opts.epsilon)
+            model = build_hour_model(problem.net, loads_t, problem.prices[t],
+                                     model_opts)
+            if forests is None:
+                forests = _radial_forests(problem.net)
+                if jobs > 1 and not forests.listed:
+                    from concurrent.futures import ProcessPoolExecutor
+                    pool = ProcessPoolExecutor(min(jobs, problem.horizon))
+            if pool is not None:
+                pending[t] = pool.submit(solve_hour, model, solver_opts, (), forests)
+            else:
+                seeds = [solved[t - 1].statuses] if t else []
+                solved[t] = _hour_result(t, solved, solve_hour, model,
+                                         solver_opts, seeds, forests)
+        for t, future in pending.items():
+            solved[t] = _hour_result(t, solved, future.result)
+    finally:
+        if pool is not None:
+            pool.shutdown(cancel_futures=True)
+    return DaySolution.from_hours(solved[t] for t in range(problem.horizon))

@@ -852,6 +852,12 @@ def two_hour_problem():
     return DayProblem(net, loads, prices)
 
 
+def light_grid_day():
+    """Two hours on the grid, light enough to close at the root."""
+    loads = np.full((2, 20), 0.01) * np.array([[1.0], [1.02]])
+    return DayProblem(grid_net(), loads, np.array([[10.0, 12.0], [12.0, 10.0]]))
+
+
 class TestSolveDay:
     def test_schedule_follows_the_cheap_substation(self):
         day = solve_day(two_hour_problem())
@@ -884,6 +890,8 @@ class TestSolveDay:
         assert parallel.total_cost == pytest.approx(serial.total_cost, rel=1e-9)
 
     def test_parallel_day_starts_no_more_workers_than_hours(self, monkeypatch):
+        # the grid is over the byte budget, so its hours go to the pool;
+        # light loads close each hour at the root
         workers = []
         pool = concurrent.futures.ProcessPoolExecutor
 
@@ -892,9 +900,21 @@ class TestSolveDay:
             return pool(max_workers, **kwargs)
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", recording)
-        day = solve_day(two_hour_problem(), jobs=4)
+        problem = light_grid_day()
+        day = solve_day(problem, jobs=4)
         assert workers == [2]
-        assert day.total_cost == solve_day(two_hour_problem()).total_cost
+        assert day.total_cost == solve_day(problem).total_cost
+
+    def test_listed_day_starts_no_pool(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a listed day started a pool")
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", refuse)
+        problem = day_problem(FixtureSpec(case_id=3))
+        parallel = solve_day(problem, jobs=2)
+        serial = solve_day(problem)
+        assert [h.statuses for h in parallel.hours] == [h.statuses for h in serial.hours]
+        assert parallel.total_cost == serial.total_cost
 
     def test_serial_day_seeds_each_hour_with_the_last(self, monkeypatch):
         # the grid is over the byte budget, so every hour goes to the
@@ -944,7 +964,7 @@ class TestSolveDay:
             return _radial_forests(net)
 
         monkeypatch.setattr(optimize, "_radial_forests", listing)
-        problem = day_problem(FixtureSpec(case_id=3))
+        problem = light_grid_day()
         parallel = solve_day(problem, jobs=2)
         assert len(calls) == 1
         assert parallel.total_cost == solve_day(problem).total_cost
