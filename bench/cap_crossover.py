@@ -45,6 +45,7 @@ import time
 import tracemalloc
 from pathlib import Path
 
+import reconf.bnb as bnb
 import reconf.forests as fs
 import reconf.optimize as opt
 
@@ -89,7 +90,7 @@ def measure(name: str, hours, with_bb: bool, with_enum: bool) -> dict:
                           cost=ranked.cost, laid_out=forests.layouts.kept)
         if with_bb:
             start = time.perf_counter()
-            sol, stats = opt._solve_milp(model, opt.SolverOptions())
+            sol, stats = bnb._solve_milp(model, opt.SolverOptions())
             record.update(bb_s=round(time.perf_counter() - start, 3),
                           bb_nodes=stats.nodes, bb_relaxations=stats.relaxations)
             if not with_enum:
@@ -116,7 +117,7 @@ def peak(name: str, hours, path: str) -> dict:
         if path == "enum":
             costs.append(opt.solve_hour(model, forests=forests).cost)
         else:
-            sol, stats = opt._solve_milp(model, opt.SolverOptions())
+            sol, stats = bnb._solve_milp(model, opt.SolverOptions())
             costs.append(sol.cost)
             nodes += stats.nodes
     return {"variant": name, "hours": list(hours), "path": path,

@@ -17,7 +17,8 @@ from reconf import cli, optimize
 from reconf.cli import main
 from reconf.dcflow import solve_flows
 from reconf.optimize import apply_epsilon_loads
-from reconf.model import parse_network
+from reconf.model import parse_network, serialize_network
+from test_optimize import grid_net
 
 
 def _write(path, text):
@@ -238,25 +239,55 @@ class TestSolve:
                      "--out", str(tiny["dir"] / "run")]) == 0
         assert len(calls) == 1
 
-    def test_enumerated_solve_never_imports_the_lp_engine(self, tiny):
-        # a fresh interpreter: this one has long since imported reconf.lp;
-        # nor does a solve import the case generator, the report's audit,
-        # OpenSSL's hashing (about 3.7 MB resident) or dataclasses, whose
-        # records generate their methods at import
+    @staticmethod
+    def _solve_in_fresh_interpreter(network, loads, prices, out):
+        """Exit code, the reconf modules imported and whether heapq,
+        _hashlib and dataclasses were, after one `reconf solve` in a fresh
+        interpreter (this one has long since imported all of reconf)."""
         script = (
-            "import sys\n"
+            "import json, sys\n"
             "from reconf.cli import main\n"
             "code = main(sys.argv[1:])\n"
-            "print(code, 'reconf.lp' in sys.modules,"
-            " 'reconf.casegen' in sys.modules, 'reconf.audit' in sys.modules,"
-            " '_hashlib' in sys.modules, 'dataclasses' in sys.modules)\n")
-        argv = ["solve", "--network", tiny["network"], "--loads", tiny["loads"],
-                "--prices", tiny["prices"], "--out", str(tiny["dir"] / "run")]
-        out = subprocess.run(
+            "print(json.dumps([code, sorted(m for m in sys.modules"
+            " if m.split('.')[0] == 'reconf'), [m in sys.modules"
+            " for m in ('heapq', '_hashlib', 'dataclasses')]]))\n")
+        argv = ["solve", "--network", network, "--loads", loads,
+                "--prices", prices, "--out", str(out)]
+        run = subprocess.run(
             [sys.executable, "-c", script, *argv], capture_output=True,
             text=True, timeout=60, check=True,
             env={**os.environ, "PYTHONPATH": str(Path(reconf.__file__).parents[1])})
-        assert out.stdout.split()[-6:] == ["0"] + ["False"] * 5
+        return json.loads(run.stdout.splitlines()[-1])
+
+    def test_enumerated_solve_never_imports_the_lp_engine(self, tiny):
+        # a solve compiles only what it runs: not the branch and bound
+        # (nor heapq, its queue), the LP engine, the case generator or the
+        # report's audit; nor OpenSSL's hashing (about 3.7 MB resident) or
+        # dataclasses, whose records generate their methods at import
+        code, modules, flags = self._solve_in_fresh_interpreter(
+            tiny["network"], tiny["loads"], tiny["prices"], tiny["dir"] / "run")
+        assert code == 0
+        assert modules == ["reconf", "reconf.cli", "reconf.dcflow",
+                           "reconf.forests", "reconf.model", "reconf.optimize"]
+        assert flags == [False, False, False]
+
+    def test_branch_and_bound_solve_imports_the_search(self, tmp_path):
+        # the loaded grid hour of tests/test_spans_contract.py: above the
+        # byte budget, so the hour goes to the branch and bound
+        net = grid_net()
+        network = tmp_path / "network.json"
+        network.write_text(serialize_network(net))
+        loads, prices = tmp_path / "loads.csv", tmp_path / "prices.csv"
+        cli._write_profile_csv(loads, cli._bus_columns(net),
+                               [np.linspace(0.005, 0.02, 20)])
+        cli._write_profile_csv(prices, cli._substation_columns(net), [[10.0, 12.0]])
+        code, modules, flags = self._solve_in_fresh_interpreter(
+            str(network), str(loads), str(prices), tmp_path / "run")
+        assert code == 0
+        assert modules == ["reconf", "reconf.bnb", "reconf.cli", "reconf.dcflow",
+                           "reconf.forests", "reconf.lp", "reconf.model",
+                           "reconf.optimize"]
+        assert flags == [True, False, False]
 
     def test_loads_header_mismatch(self, tiny, tmp_path):
         bad = _write(tmp_path / "bad_loads.csv",

@@ -12,7 +12,8 @@ from hypothesis import strategies as st
 
 from hour_oracle import enumerate_hour
 import reconf.forests
-from reconf import optimize
+from reconf import bnb, optimize
+from reconf.bnb import _add_hour, _Milp, _solve_milp
 from reconf.casegen import FixtureSpec, day_problem
 from reconf.dcflow import solve_flows
 from reconf.forests import (
@@ -30,9 +31,6 @@ from reconf.optimize import (
     ModelOptions,
     NodeLimitError,
     SolverOptions,
-    _add_hour,
-    _Milp,
-    _solve_milp,
     apply_epsilon_loads,
     build_hour_model,
     evaluate_topology,
@@ -707,7 +705,7 @@ class TestLazyRelaxation:
             calls.append((lp, cols))
             return cols
 
-        monkeypatch.setattr(optimize, "_add_hour", spy)
+        monkeypatch.setattr(bnb, "_add_hour", spy)
         return calls
 
     def test_enumerated_hour_builds_no_relaxation(self, built):

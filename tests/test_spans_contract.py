@@ -24,10 +24,13 @@ SCRIPT = """
 import collections, json, sys
 import numpy as np
 from spans import Tracer, install, NAME, HOUR
-tracer = Tracer()
-install(tracer)
+# the branch and bound (test_optimize imports it) is imported before the
+# wrappers go in, so a name it bound at import would miss them
 from reconf import optimize
 from test_optimize import grid_net, two_sub_net
+assert "reconf.bnb" in sys.modules
+tracer = Tracer()
+install(tracer)
 if sys.argv[1] == "enumerated":
     problem = optimize.DayProblem(two_sub_net(), [[0.0, 0.0, 8.0]],
                                   [[10.0, 20.0]])
